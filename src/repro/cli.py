@@ -790,13 +790,16 @@ def cmd_top(args) -> int:
                     f"  serve.table_attach{{{labels}}} = "
                     f"{row.get('value', 0):g}"
                 )
-            # sharded-frontier exploration (owner-computes BFS): the
-            # per-shard rows / exchange counters and worker gauge
+            # frontier exploration: per-batch phase seconds, and the
+            # sharded tier's per-shard rows / exchange counters and
+            # worker gauge
             for kind in ("gauges", "counters"):
                 for name, rows in sorted(
                     metrics.get(kind, {}).items()
                 ):
-                    if not name.startswith("frontier.shard."):
+                    if not name.startswith(
+                        ("frontier.shard.", "frontier.phase_seconds")
+                    ):
                         continue
                     for row in rows:
                         labels = ",".join(

@@ -4,7 +4,7 @@ The compiled engine (:mod:`repro.core.compiled`) materialises all
 ``k!`` nodes before any analysis runs, which walls the paper's sweeps
 at ``k <= 9``.  This package explores the same graphs **without a node
 table**: encoded uint8 state matrices, batched per-generator expansion,
-sort + ``searchsorted`` dedup over packed state keys, a byte budget
+one sort-once dedup kernel over packed state keys, a byte budget
 that fixes batch sizes, and crash-resumable spill-to-disk frontiers.
 Layer profiles, diameters and first hops are byte-identical to the
 compiled BFS (same tie-breaks); pair distances come from
@@ -23,6 +23,7 @@ from .bidirectional import identity_distance, pair_distance
 from .encoding import (
     MAX_BITPACK_K,
     MAX_EXACT_KEY_K,
+    StateCountError,
     expand_states,
     generator_columns,
     identity_state,
@@ -61,6 +62,7 @@ __all__ = [
     "ShardWorkerDied",
     "ShardedFrontierBFS",
     "SpillError",
+    "StateCountError",
     "active_run_dirs",
     "expand_states",
     "frontier_profile",

@@ -29,14 +29,18 @@ import numpy as np
 
 from ..core.permutations import Permutation
 from .encoding import (
+    check_state_count,
     chunk_rows,
+    dedup_batch,
     expand_states,
     generator_columns,
     identity_state,
     in_any,
     in_sorted,
     inverse_generator_columns,
+    key_bits,
     make_key_fn,
+    merge_sorted,
 )
 
 #: hard stop for runaway searches on disconnected directed families.
@@ -44,15 +48,18 @@ DEFAULT_MAX_DEPTH = 512
 
 
 class _Ball:
-    """One side of the search: a growing BFS ball with per-layer keys."""
+    """One side of the search: a growing BFS ball with per-layer keys
+    (for meet depths) and all of them merged (``visited``, for dedup)."""
 
-    def __init__(self, root: np.ndarray, columns, key_fn, chunk: int):
+    def __init__(self, root: np.ndarray, columns, key_fn, key_width: int,
+                 chunk: int):
         self.columns = columns
         self.key_fn = key_fn
+        self.key_width = key_width
         self.chunk = chunk
         self.frontier: List[np.ndarray] = [root]
-        root_keys = np.sort(key_fn(root))
-        self.layer_keys: List[np.ndarray] = [root_keys]
+        self.visited = key_fn(root)
+        self.layer_keys: List[np.ndarray] = [self.visited]
         self.depth = 0
         self.size = 1
         self.exhausted = False
@@ -63,30 +70,25 @@ class _Ball:
         new_keys: List[np.ndarray] = []
         for block in self.frontier:
             for lo in range(0, block.shape[0], self.chunk):
-                piece = block[lo:lo + self.chunk]
-                cand = expand_states(piece, self.columns)
-                keys = self.key_fn(cand)
-                fresh = np.nonzero(
-                    ~in_any(keys, self.layer_keys + new_keys)
-                )[0]
-                if not fresh.size:
-                    continue
-                _, first_pos = np.unique(keys[fresh], return_index=True)
-                sel = fresh[first_pos]
-                new_chunks.append(np.ascontiguousarray(cand[sel]))
-                new_keys.append(np.sort(keys[sel]))
+                cand = expand_states(block[lo:lo + self.chunk], self.columns)
+                sel, fresh_keys = dedup_batch(
+                    self.key_fn(cand), [self.visited] + new_keys,
+                    self.key_width, in_any,
+                )
+                if sel.size:
+                    new_chunks.append(cand[sel])
+                    new_keys.append(fresh_keys)
         if not new_chunks:
             self.exhausted = True
             self.frontier = []
             return None
-        merged = (
-            new_keys[0] if len(new_keys) == 1
-            else np.sort(np.concatenate(new_keys))
-        )
+        merged = merge_sorted(*new_keys)
+        self.visited = merge_sorted(self.visited, merged)
         self.frontier = new_chunks
         self.layer_keys.append(merged)
         self.depth += 1
         self.size += int(merged.size)
+        check_state_count(self.size, new_chunks[0].shape[1], "ball")
         return merged
 
 
@@ -101,8 +103,8 @@ def identity_distance(
 
     Returns ``-1`` when ``target`` is unreachable (non-generating sets
     on directed families).  Memory: each side's batches are sized from
-    half the budget; all per-layer key arrays are retained (8 bytes per
-    visited state) for meet detection.
+    half the budget; every visited key is kept twice (16 bytes per
+    state): per layer for meet depths, merged for dedup.
     """
     k = graph.k
     if target.k != k:
@@ -110,25 +112,22 @@ def identity_distance(
     if target.is_identity():
         return 0
     key_fn, _ = make_key_fn(k, key_seed)
-    degree = max(1, graph.degree)
-    chunk = chunk_rows(memory_budget_bytes // 2, k, degree)
+    chunk = chunk_rows(memory_budget_bytes // 2, k, graph.degree)
     root_f = identity_state(k)
-    root_b = np.asarray(
-        target.symbols, dtype=root_f.dtype
-    )[None, :]
-    forward = _Ball(root_f, generator_columns(graph), key_fn, chunk)
+    root_b = np.asarray(target.symbols, dtype=root_f.dtype)[None, :]
+    width = key_bits(k)
+    forward = _Ball(root_f, generator_columns(graph), key_fn, width, chunk)
     backward = _Ball(
-        root_b, inverse_generator_columns(graph), key_fn, chunk
+        root_b, inverse_generator_columns(graph), key_fn, width, chunk
     )
     best = -1
 
     def note_meets(new_keys: np.ndarray, new_depth: int, other: _Ball,
                    best: int) -> int:
+        # the first layer met is the nearest: later ones only add depth
         for j, ref in enumerate(other.layer_keys):
             if in_sorted(new_keys, ref).any():
-                total = new_depth + j
-                if best < 0 or total < best:
-                    best = total
+                return new_depth + j if best < 0 else min(best, new_depth + j)
         return best
 
     while best < 0 or best > forward.depth + backward.depth:

@@ -17,12 +17,15 @@ primitives defined here:
   keys *are* equal states); for ``k <= 20`` it is the Lehmer rank
   (``20! < 2^63``, still exact); beyond that a seeded multiply-fold
   hash with a documented (astronomically small) collision probability;
-* **membership** — :func:`in_sorted` / :func:`in_any`, vectorised
-  ``searchsorted`` membership against one or many sorted key arrays.
+* **dedup** — :func:`dedup_batch`, the one kernel every engine runs on
+  a candidate batch: sort once, keep each key's first occurrence,
+  probe the survivors against the visited window with sorted-query
+  :func:`in_any`, and restore first-occurrence order.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +40,23 @@ MAX_EXACT_KEY_K = 20
 
 #: dtype of state matrices (symbols ``1..k``, so ``k <= 255``).
 STATE_DTYPE = np.uint8
+
+
+class StateCountError(RuntimeError):
+    """A search counted more distinct states than the ``k!``
+    permutations of ``k`` symbols: its keys or its dedup are broken.
+    Raised at the first batch past the bound instead of exploring
+    forever."""
+
+
+def check_state_count(num_states: int, k: int, network: str) -> None:
+    """Raise :class:`StateCountError` when ``num_states > k!``."""
+    if num_states > factorial(k):
+        raise StateCountError(
+            f"{network}: {num_states} distinct states exceed "
+            f"{k}! = {factorial(k)}; the key function or the dedup "
+            "kernel merged keys wrongly"
+        )
 
 
 def identity_state(k: int) -> np.ndarray:
@@ -79,6 +99,41 @@ def expand_states(
     return out.reshape(m * degree, k)
 
 
+def _key_scheme(k: int) -> Tuple[str, int]:
+    """The one decision behind :func:`make_key_fn` and :func:`key_bits`:
+    which key family ``k`` symbols get, and how many low bits its keys
+    occupy."""
+    if k <= MAX_BITPACK_K:
+        return "bitpack", 4 * k
+    if k <= MAX_EXACT_KEY_K:
+        return "lehmer", (factorial(k) - 1).bit_length()
+    return "hash", 64
+
+
+def key_bits(k: int) -> int:
+    """Width of the keys ``make_key_fn(k)`` returns: every key is
+    below ``2 ** key_bits(k)``.  :func:`dedup_batch` packs a key and a
+    batch position into one uint64 word when the two widths fit."""
+    return _key_scheme(k)[1]
+
+
+_NIBBLE_MASKS = tuple(np.uint64(m) for m in (
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
+))
+_FOLD_SHIFTS = tuple(np.uint64(s) for s in (4, 8, 16))
+
+
+def _nibble_fold(word: np.ndarray) -> np.ndarray:
+    """Eight bytes (each ``< 16``) of a little-endian word -> the
+    32-bit value holding byte ``i`` in nibble ``i``."""
+    word = word | (word >> _FOLD_SHIFTS[0])
+    word &= _NIBBLE_MASKS[0]
+    for shift, mask in zip(_FOLD_SHIFTS[1:], _NIBBLE_MASKS[1:]):
+        word |= word >> shift
+        word &= mask
+    return word
+
+
 def make_key_fn(k: int, seed: int = 0) -> Tuple[Callable, bool]:
     """The state->uint64 key function for ``k`` symbols.
 
@@ -89,17 +144,27 @@ def make_key_fn(k: int, seed: int = 0) -> Tuple[Callable, bool]:
     may (with probability ~``m^2 / 2^64``) merge two distinct states,
     which callers surface via :class:`~repro.frontier.engine
     .FrontierBFS`'s ``exact_keys`` flag.
+
+    The bit-pack key is ``sum((s[i] - 1) << 4 i)``.  It is computed by
+    padding each row to 16 bytes, viewing them as two little-endian
+    uint64 words and folding each word's bytes into nibbles — no
+    ``(m, k)`` uint64 intermediate.
     """
-    if k <= MAX_BITPACK_K:
-        shifts = (np.arange(k, dtype=np.uint64) * np.uint64(4))
+    scheme, _bits = _key_scheme(k)
+    if scheme == "bitpack":
+        high = np.uint64(32)
 
         def _bitpack(states: np.ndarray) -> np.ndarray:
-            return (
-                (states.astype(np.uint64) - np.uint64(1)) << shifts
-            ).sum(axis=1, dtype=np.uint64)
+            padded = np.zeros((states.shape[0], 16), dtype=np.uint8)
+            np.subtract(states, 1, out=padded[:, :k])
+            words = padded.view("<u8")
+            keys = _nibble_fold(words[:, 0])
+            if k > 8:
+                keys |= _nibble_fold(words[:, 1]) << high
+            return keys.astype(np.uint64, copy=False)
 
         return _bitpack, True
-    if k <= MAX_EXACT_KEY_K:
+    if scheme == "lehmer":
         def _lehmer(states: np.ndarray) -> np.ndarray:
             return rank_array(states).astype(np.uint64)
 
@@ -125,9 +190,8 @@ def in_sorted(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
     if sorted_ref.size == 0:
         return np.zeros(values.shape, dtype=bool)
     idx = np.searchsorted(sorted_ref, values)
-    mask = idx < sorted_ref.size
-    mask[mask] = sorted_ref[idx[mask]] == values[mask]
-    return mask
+    np.minimum(idx, sorted_ref.size - 1, out=idx)
+    return sorted_ref[idx] == values
 
 
 def in_any(
@@ -144,21 +208,113 @@ def in_any(
     return seen
 
 
+def merge_sorted(*runs: np.ndarray) -> np.ndarray:
+    """One sorted key array from sorted runs (the stable sort, timsort
+    for uint64, merges runs in linear passes)."""
+    out = np.concatenate(runs)
+    out.sort(kind="stable")
+    return out
+
+
+def dedup_batch(
+    keys: np.ndarray,
+    guard: Sequence[np.ndarray],
+    key_width: int,
+    member: Callable = in_any,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First occurrences of the keys absent from every ``guard`` array.
+
+    Returns ``(sel, new_keys)``: ``sel`` holds the ascending batch
+    positions of each new key's first occurrence (first-occurrence
+    wins, so discovery order is the candidate order), and
+    ``new_keys`` is ``keys[sel]`` sorted — ready to join the guard.
+
+    One sort serves every step.  When ``key_width`` (from
+    :func:`key_bits`) plus the bits of a batch position fit in 64, each
+    key is packed with its position into one word, ``key << pos_bits |
+    position``, and the words are sorted; equal keys then sit together
+    ordered by position.  Wider keys fall back to one stable argsort.
+    An adjacent-unique pass keeps each key's first position, the
+    *sorted* unique keys are probed with ``member`` (``searchsorted``
+    on sorted queries walks the guard in order), and sorting the
+    surviving positions restores first-occurrence order.
+
+    ``member`` is :func:`in_any` by default; each engine passes the
+    ``in_any`` it imported, so a wrapper installed in that engine's
+    module (as ``perfbench/frontier_child.py`` does) times membership.
+    """
+    if not keys.size:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64)
+    unique_keys, first_pos = _first_occurrences(keys, key_width)
+    fresh = ~member(unique_keys, guard)
+    sel = np.sort(first_pos[fresh]).astype(np.intp, copy=False)
+    return sel, unique_keys[fresh]
+
+
+def _first_occurrences(
+    keys: np.ndarray, key_width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique keys and the batch position of each one's first
+    occurrence (its sort scratch is freed on return)."""
+    n = int(keys.size)
+    pos_bits = max(1, (n - 1).bit_length())
+    if key_width + pos_bits <= 64:
+        shift = np.uint64(pos_bits)
+        words = keys << shift
+        words |= np.arange(n, dtype=np.uint64)
+        words.sort()
+        sorted_keys = words >> shift
+        positions = words
+        positions &= np.uint64((1 << pos_bits) - 1)
+    else:
+        positions = np.argsort(keys, kind="stable")
+        sorted_keys = keys[positions]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return sorted_keys[first], positions[first]
+
+
+#: :func:`dedup_batch` scratch per candidate at its peak, the probe:
+#: the unique keys and their first positions (16 bytes),
+#: :func:`in_any`'s copy of the unmatched queries (8), the
+#: ``searchsorted`` index and the gathered guard keys (16) and three
+#: masks (3) — 43, rounded up.  The sort before it needs less (packed
+#: words or argsort index, sorted keys, a mask, the unique keys and
+#: positions: 33) and frees its scratch before the probe starts.
+DEDUP_SCRATCH_BYTES = 48
+
+
+def candidate_bytes(k: int, track_first_hop: bool = False) -> int:
+    """Peak bytes one candidate costs while a batch is expanded, keyed
+    and deduped.
+
+    The candidate's state row (``k``), its uint64 key (8) and an
+    optional first-hop tag (1) live through the whole batch.  On top
+    of them sits the larger of two scratch peaks that never overlap:
+    the key function's and :data:`DEDUP_SCRATCH_BYTES`.  The key
+    function's follows :func:`make_key_fn`'s choice of key: the 16-byte
+    padded row plus two 8-byte fold temporaries (bit-pack), the
+    comparison row plus rank and digit temporaries (Lehmer), or the
+    widened uint64 row and its product with the multipliers (hash).
+    """
+    scheme, _bits = _key_scheme(k)
+    key_scratch = {"bitpack": 32, "lehmer": k + 24}.get(scheme, 16 * k)
+    scratch = max(key_scratch, DEDUP_SCRATCH_BYTES)
+    return k + 8 + (1 if track_first_hop else 0) + scratch
+
+
 def chunk_rows(
     memory_budget_bytes: int, k: int, degree: int,
     track_first_hop: bool = False,
 ) -> int:
     """Frontier rows per expansion batch under a byte budget.
 
-    One batch materialises, per frontier row, ``degree`` candidate
-    state rows (``k`` bytes each), their uint64 keys, the stable-sort
-    scratch ``np.unique`` needs, and (optionally) a first-hop tag —
-    roughly ``degree * (k + 24 [+ 1])`` bytes with another 2x headroom
-    for the transient views.  Half the budget goes to this workspace
-    (the other half covers retained keys and the accumulating next
-    layer), with a floor of 32 rows so a pathological budget still
-    makes progress.
+    One frontier row yields ``degree`` candidates of
+    :func:`candidate_bytes` each.  Half the budget goes to this
+    workspace (the other half covers retained keys and the
+    accumulating next layer), with a floor of 32 rows so a
+    pathological budget still makes progress.
     """
-    degree = max(1, degree)
-    per_row = degree * (k + 24 + (1 if track_first_hop else 0)) * 2
+    per_row = max(1, degree) * candidate_bytes(k, track_first_hop)
     return max(32, int(memory_budget_bytes) // (2 * per_row))

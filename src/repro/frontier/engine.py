@@ -15,10 +15,11 @@ Dedup window
 For **undirected** families (inverse-closed generator sets) a candidate
 at depth ``d+1`` can only collide with depths ``d-1``, ``d`` or ``d+1``
 (adjacent nodes differ by at most one in identity-distance), so the
-engine keeps exactly three key sets: previous layer, current layer, and
-the accumulating next layer.  **Directed** families (rotator nuclei)
-lack that symmetry, so a ring of *all* visited layers' keys is kept —
-8 bytes per state, still far below a materialised table.
+window is the previous and current layers' keys merged into one sorted
+array.  **Directed** families (rotator nuclei) lack that symmetry, so
+it holds *all* visited layers' keys — 8 bytes per state, still far
+below a materialised table.  The accumulating next layer's keys ride
+along as a few sorted chunks.
 
 Tie-break parity
 ----------------
@@ -35,7 +36,7 @@ batch counts, never results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
@@ -45,18 +46,25 @@ from ..core.tablestore import store_digest
 from ..obs import get_registry, get_tracer
 from .encoding import (
     STATE_DTYPE,
+    check_state_count,
     chunk_rows,
+    dedup_batch,
     expand_states,
     generator_columns,
     identity_state,
     in_any,
+    key_bits,
     make_key_fn,
+    merge_sorted,
 )
 from .spill import FrontierRunDir, SpillError
 
 #: default exploration budget: enough for MS(9,1) with lots of headroom,
 #: a fraction of the materialised-table footprint at the same k.
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
+
+#: per-batch phases timed into the ``frontier.phase_seconds`` counter.
+PHASES = ("expand", "key", "dedup", "spill")
 
 
 @dataclass
@@ -225,7 +233,7 @@ class FrontierBFS:
 
         state = _SearchState(
             key_fn=key_fn, undirected=undirected, degree=degree,
-            track_first_hop=self.track_first_hop,
+            track_first_hop=self.track_first_hop, key_width=key_bits(k),
         )
         result = FrontierResult(
             network=graph.name, k=k, layer_sizes=[], num_states=0,
@@ -274,13 +282,9 @@ class FrontierBFS:
 
     def _seed_identity(self, run, state, result, k: int) -> None:
         root = identity_state(k)
-        root_keys = np.sort(state.key_fn(root))
         state.frontier = _RamLayer([root], [np.zeros(1, dtype=np.uint8)]
                                    if self.track_first_hop else None)
-        state.cur_keys = root_keys
-        state.prev_keys = np.empty(0, dtype=np.uint64)
-        if not state.undirected:
-            state.ring = [root_keys]
+        state.load_window(0, lambda d: state.key_fn(root))
         result.layer_sizes.append(1)
         result.num_states += 1
         if result.layers is not None:
@@ -312,13 +316,7 @@ class FrontierBFS:
             return np.sort(np.concatenate(parts))
 
         state.frontier = _DiskLayer(run, depth, self.track_first_hop)
-        state.cur_keys = layer_keys(depth)
-        state.prev_keys = (
-            layer_keys(depth - 1) if depth > 0
-            else np.empty(0, dtype=np.uint64)
-        )
-        if not state.undirected:
-            state.ring = [layer_keys(d) for d in range(depth + 1)]
+        state.load_window(depth, layer_keys)
 
     # -- the layer loop --------------------------------------------------
 
@@ -329,6 +327,7 @@ class FrontierBFS:
         dedup_gauge = registry.gauge("frontier.dedup_ratio")
         spill_counter = registry.counter("frontier.spill_bytes")
         batch_hist = registry.histogram("frontier.batch_seconds")
+        phase_counter = registry.counter("frontier.phase_seconds")
         net = self.graph.name
 
         while True:
@@ -338,34 +337,32 @@ class FrontierBFS:
             )
             layer_candidates = 0
             for states, tags in state.frontier.pieces(chunk):
-                t0 = time.perf_counter()
+                stamps = [time.perf_counter()]
                 cand = expand_states(states, columns)
+                stamps.append(time.perf_counter())
                 keys = state.key_fn(cand)
-                guard = state.guard() + new.key_chunks
-                fresh = np.nonzero(~in_any(keys, guard))[0]
-                if fresh.size:
-                    _, first_pos = np.unique(
-                        keys[fresh], return_index=True
-                    )
-                    first_pos.sort()
-                    sel = fresh[first_pos]
-                else:
-                    sel = fresh
+                stamps.append(time.perf_counter())
+                sel, new_keys = dedup_batch(
+                    keys, state.guard() + new.key_chunks,
+                    state.key_width, in_any,
+                )
+                stamps.append(time.perf_counter())
                 if sel.size:
+                    sel_tags = None
                     if self.track_first_hop:
-                        if depth == 0:
-                            sel_tags = (sel % state.degree).astype(
-                                np.uint8
-                            )
-                        else:
-                            sel_tags = tags[sel // state.degree]
-                    else:
-                        sel_tags = None
-                    new.add(cand[sel], np.sort(keys[sel]), sel_tags)
+                        sel_tags = (
+                            (sel % state.degree).astype(np.uint8)
+                            if depth == 0 else tags[sel // state.degree]
+                        )
+                    new.add(cand[sel], new_keys, sel_tags)
+                stamps.append(time.perf_counter())
+                for phase, t0, t1 in zip(PHASES, stamps, stamps[1:]):
+                    phase_counter.inc(t1 - t0, network=net, phase=phase)
                 layer_candidates += int(keys.size)
                 result.batches += 1
-                batch_hist.observe(
-                    time.perf_counter() - t0, network=net
+                batch_hist.observe(stamps[-1] - stamps[0], network=net)
+                check_state_count(
+                    result.num_states + new.size, self.graph.k, net
                 )
             size = new.size
             if not size:
@@ -395,16 +392,12 @@ class FrontierBFS:
                 network=net,
             )
             if result.layers is not None:
-                parts, tag_parts = [], []
-                for piece, piece_tags in state.frontier.pieces(1 << 30):
-                    parts.append(np.array(piece, copy=True))
-                    if piece_tags is not None:
-                        tag_parts.append(piece_tags)
-                result.layers.append(np.concatenate(parts))
+                pieces = list(state.frontier.pieces(1 << 30))
+                result.layers.append(np.concatenate([p for p, _ in pieces]))
                 if result.layer_tags is not None:
-                    result.layer_tags.append(
-                        np.concatenate(tag_parts).astype(np.int16)
-                    )
+                    result.layer_tags.append(np.concatenate(
+                        [t for _, t in pieces]
+                    ).astype(np.int16))
             state.rotate(new.merged_keys())
             if self.on_layer is not None:
                 self.on_layer(depth, size)
@@ -420,27 +413,41 @@ class FrontierBFS:
 
 @dataclass
 class _SearchState:
-    """The dedup window plus the current frontier."""
+    """The dedup window (``seen``: one sorted key array) plus the
+    current frontier."""
 
     key_fn: Callable
     undirected: bool
     degree: int
     track_first_hop: bool
+    key_width: int
     frontier: object = None
     cur_keys: np.ndarray = None
-    prev_keys: np.ndarray = None
-    ring: List[np.ndarray] = field(default_factory=list)
+    seen: np.ndarray = None
+
+    def load_window(self, depth: int,
+                    layer_keys: Callable[[int], np.ndarray]) -> None:
+        """Set the window at ``depth`` from each layer's sorted keys
+        (only the last two layers' for undirected families)."""
+        first = max(0, depth - 1) if self.undirected else 0
+        keys = [layer_keys(d) for d in range(first, depth + 1)]
+        self.cur_keys = keys[-1]
+        self.seen = merge_sorted(*keys)
 
     def guard(self) -> List[np.ndarray]:
-        if self.undirected:
-            return [self.cur_keys, self.prev_keys]
-        return list(self.ring)
+        return [self.seen]
 
     def rotate(self, new_keys: np.ndarray) -> None:
-        self.prev_keys = self.cur_keys
+        older = self.cur_keys if self.undirected else self.seen
+        self.seen = merge_sorted(older, new_keys)
         self.cur_keys = new_keys
-        if not self.undirected:
-            self.ring.append(new_keys)
+
+
+def _slices(states: np.ndarray, tags: Optional[np.ndarray],
+            chunk_rows: int):
+    for lo in range(0, states.shape[0], chunk_rows):
+        hi = lo + chunk_rows
+        yield states[lo:hi], (tags[lo:hi] if tags is not None else None)
 
 
 class _RamLayer:
@@ -452,16 +459,9 @@ class _RamLayer:
         self.tag_chunks = tag_chunks
 
     def pieces(self, chunk_rows: int):
-        for i, states in enumerate(self.chunks):
-            tags = (
-                self.tag_chunks[i] if self.tag_chunks is not None
-                else None
-            )
-            for lo in range(0, states.shape[0], chunk_rows):
-                hi = lo + chunk_rows
-                yield states[lo:hi], (
-                    tags[lo:hi] if tags is not None else None
-                )
+        tag_chunks = self.tag_chunks or [None] * len(self.chunks)
+        for states, tags in zip(self.chunks, tag_chunks):
+            yield from _slices(states, tags, chunk_rows)
 
     def discard(self) -> None:
         self.chunks = []
@@ -480,17 +480,13 @@ class _DiskLayer:
     def pieces(self, chunk_rows: int):
         entry = self.run.layers[self.depth]
         for i, name in enumerate(entry["segments"]):
-            states = np.load(self.run.path / name)
-            tags = None
-            if self.track_tags:
-                tags = np.load(
-                    self.run.path / entry["tag_segments"][i]
-                )
-            for lo in range(0, states.shape[0], chunk_rows):
-                hi = lo + chunk_rows
-                yield states[lo:hi], (
-                    tags[lo:hi] if tags is not None else None
-                )
+            tags = (
+                np.load(self.run.path / entry["tag_segments"][i])
+                if self.track_tags else None
+            )
+            yield from _slices(
+                np.load(self.run.path / name), tags, chunk_rows
+            )
 
     def discard(self) -> None:  # segments stay on disk for resume
         pass
@@ -509,8 +505,6 @@ class _LayerBuilder:
         self.pending: List[np.ndarray] = []
         self.pending_tags: List[np.ndarray] = []
         self.pending_bytes = 0
-        self.sealed_states: List[np.ndarray] = []
-        self.sealed_tags: List[np.ndarray] = []
         self.key_chunks: List[np.ndarray] = []
         self.segment_names: List[str] = []
         self.tag_segment_names: List[str] = []
@@ -525,11 +519,12 @@ class _LayerBuilder:
             self.pending_tags.append(tags)
         self.pending_bytes += states.nbytes
         self.size += states.shape[0]
-        self.key_chunks.append(sorted_keys)
-        if len(self.key_chunks) > 8:
-            self.key_chunks = [
-                np.sort(np.concatenate(self.key_chunks))
-            ]
+        # binary-counter merging keeps O(log batches) sorted chunks
+        chunks = self.key_chunks
+        chunks.append(sorted_keys)
+        while len(chunks) > 1 and chunks[-2].size <= 2 * chunks[-1].size:
+            tail = chunks.pop()
+            chunks[-1] = merge_sorted(chunks[-1], tail)
         if self.run is not None and self.pending_bytes >= self.threshold:
             self._flush()
 
@@ -558,13 +553,10 @@ class _LayerBuilder:
         if self.run is not None:
             self._flush()
             return [], None
-        self.sealed_states = self.pending
-        self.sealed_tags = self.pending_tags if self.track_tags else None
-        return self.sealed_states, self.sealed_tags
+        return self.pending, (
+            self.pending_tags if self.track_tags else None
+        )
 
     def merged_keys(self) -> np.ndarray:
-        if not self.key_chunks:
-            return np.empty(0, dtype=np.uint64)
-        if len(self.key_chunks) == 1:
-            return self.key_chunks[0]
-        return np.sort(np.concatenate(self.key_chunks))
+        chunks = self.key_chunks or [np.empty(0, dtype=np.uint64)]
+        return chunks[0] if len(chunks) == 1 else merge_sorted(*chunks)

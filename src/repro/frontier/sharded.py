@@ -24,9 +24,9 @@ Per layer the protocol is owner-computes all-to-all:
 3. **drain + dedup** — the coordinator totals the per-destination row
    counts from every worker's ``sent`` report and tells each owner how
    many rows to expect; owners dedup arriving chunks against their own
-   prev∪current key window (ring of all owned layers for directed
-   families) with the engine's sort+searchsorted machinery, so dedup
-   work parallelizes with the key space;
+   prev∪current key window (all owned layers for directed
+   families) with the engine's dedup kernel, so dedup work
+   parallelizes with the key space;
 4. **barrier** — workers report ``(accepted, received, discarded)``;
    the coordinator merges them into the global layer width, asserts
    the exchange books close (``sent == received == deduped-in +
@@ -71,11 +71,14 @@ import numpy as np
 from ..core.tablestore import store_digest
 from ..obs import get_registry, get_tracer
 from .encoding import (
+    check_state_count,
     chunk_rows,
+    dedup_batch,
     expand_states,
     generator_columns,
     identity_state,
     in_any,
+    key_bits,
     make_key_fn,
 )
 from .engine import (
@@ -182,16 +185,12 @@ class _ShardReceiver:
             self.received_local += rows
         else:
             self.received_remote += rows
-        guard = self.window.guard() + self.builder.key_chunks
-        fresh = np.nonzero(~in_any(keys, guard))[0]
-        if fresh.size:
-            _, first_pos = np.unique(keys[fresh], return_index=True)
-            first_pos.sort()
-            sel = fresh[first_pos]
-        else:
-            sel = fresh
+        sel, new_keys = dedup_batch(
+            keys, self.window.guard() + self.builder.key_chunks,
+            self.window.key_width, in_any,
+        )
         if sel.size:
-            self.builder.add(states[sel], np.sort(keys[sel]), None)
+            self.builder.add(states[sel], new_keys, None)
         self.discarded += rows - int(sel.size)
 
     def absorb_message(self, msg) -> None:
@@ -313,7 +312,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
 
         window = _SearchState(
             key_fn=key_fn, undirected=undirected, degree=degree,
-            track_first_hop=False,
+            track_first_hop=False, key_width=key_bits(k),
         )
         empty_keys = np.empty(0, dtype=np.uint64)
 
@@ -325,15 +324,10 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
             root = identity_state(k)
             root_keys = np.sort(key_fn(root))
             mine = int(owner_of(root_keys, num_workers)[0]) == index
-            if mine:
-                window.frontier = _RamLayer([root], None)
-                window.cur_keys = root_keys
-            else:
-                window.frontier = _RamLayer([], None)
-                window.cur_keys = empty_keys
-            window.prev_keys = empty_keys
-            if not undirected:
-                window.ring = [window.cur_keys]
+            window.frontier = _RamLayer([root] if mine else [], None)
+            window.load_window(
+                0, lambda d: root_keys if mine else empty_keys
+            )
             if run is not None:
                 if mine:
                     names = run.write_segment(0, 0, root, None)
@@ -361,14 +355,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
                 run.truncate(num_layers)
                 depth = num_layers - 1
                 window.frontier = _DiskLayer(run, depth, False)
-                window.cur_keys = layer_keys(depth)
-                window.prev_keys = (
-                    layer_keys(depth - 1) if depth > 0 else empty_keys
-                )
-                if not undirected:
-                    window.ring = [
-                        layer_keys(d) for d in range(depth + 1)
-                    ]
+                window.load_window(depth, layer_keys)
                 ctrl.send(("restored", depth))
             elif op == "expand":
                 depth = cmd[1]
@@ -904,6 +891,7 @@ class ShardedFrontierBFS:
                 )
             if size == 0:
                 return
+            check_state_count(result.num_states + size, self.graph.k, net)
             depth += 1
             result.layer_sizes.append(size)
             result.num_states += size
