@@ -19,7 +19,8 @@ from repro.networks import make_network
 #: layers into multiple spill segments.
 NETWORK = ("MS", {"l": 6, "n": 1})  # MS(6,1): k = 7, 5040 states
 
-#: ~2 layer-segments per wide layer at k = 7 states of 7 bytes.
+#: 2-4 segments per wide layer at k = 7: 8-byte packed states
+#: against a 4 KiB spill threshold.
 TINY_BUDGET = 16 * 1024
 
 

@@ -3,9 +3,11 @@
 The compiled engine (:mod:`repro.core.compiled`) materialises all
 ``k!`` nodes before any analysis runs, which walls the paper's sweeps
 at ``k <= 9``.  This package explores the same graphs **without a node
-table**: encoded uint8 state matrices, batched per-generator expansion,
-one sort-once dedup kernel over packed state keys, a byte budget
-that fixes batch sizes, and crash-resumable spill-to-disk frontiers.
+table**: packed uint64 states (``k <= 16``; a state is its key) or
+uint8 label rows beyond, batched per-generator expansion (shift/mask
+word programs or column gathers), one sort-once dedup kernel over
+uint64 keys, a byte budget that fixes batch sizes, and
+crash-resumable spill-to-disk frontiers.
 Layer profiles, diameters and first hops are byte-identical to the
 compiled BFS (same tie-breaks); pair distances come from
 meet-in-the-middle bidirectional search.

@@ -29,16 +29,15 @@ import numpy as np
 
 from ..core.permutations import Permutation
 from .encoding import (
+    STATE_DTYPE,
+    StateCodec,
     check_state_count,
     chunk_rows,
     dedup_batch,
     expand_states,
-    generator_columns,
     identity_state,
     in_any,
     in_sorted,
-    inverse_generator_columns,
-    key_bits,
     make_key_fn,
     merge_sorted,
 )
@@ -51,14 +50,13 @@ class _Ball:
     """One side of the search: a growing BFS ball with per-layer keys
     (for meet depths) and all of them merged (``visited``, for dedup)."""
 
-    def __init__(self, root: np.ndarray, columns, key_fn, key_width: int,
+    def __init__(self, root_row: np.ndarray, codec: StateCodec, moves,
                  chunk: int):
-        self.columns = columns
-        self.key_fn = key_fn
-        self.key_width = key_width
+        self.codec = codec
+        self.moves = moves
         self.chunk = chunk
-        self.frontier: List[np.ndarray] = [root]
-        self.visited = key_fn(root)
+        self.frontier: List[np.ndarray] = [codec.encode(root_row)]
+        self.visited = codec.key_fn(self.frontier[0])
         self.layer_keys: List[np.ndarray] = [self.visited]
         self.depth = 0
         self.size = 1
@@ -70,10 +68,10 @@ class _Ball:
         new_keys: List[np.ndarray] = []
         for block in self.frontier:
             for lo in range(0, block.shape[0], self.chunk):
-                cand = expand_states(block[lo:lo + self.chunk], self.columns)
+                cand = expand_states(block[lo:lo + self.chunk], self.moves)
                 sel, fresh_keys = dedup_batch(
-                    self.key_fn(cand), [self.visited] + new_keys,
-                    self.key_width, in_any,
+                    self.codec.key_fn(cand), [self.visited] + new_keys,
+                    self.codec.key_width, in_any,
                 )
                 if sel.size:
                     new_chunks.append(cand[sel])
@@ -88,7 +86,7 @@ class _Ball:
         self.layer_keys.append(merged)
         self.depth += 1
         self.size += int(merged.size)
-        check_state_count(self.size, new_chunks[0].shape[1], "ball")
+        check_state_count(self.size, self.codec.k, "ball")
         return merged
 
 
@@ -111,15 +109,11 @@ def identity_distance(
         raise ValueError(f"size mismatch: {target.k} vs {k}")
     if target.is_identity():
         return 0
-    key_fn, _ = make_key_fn(k, key_seed)
+    codec = StateCodec(k, make_key_fn(k, key_seed)[0])
     chunk = chunk_rows(memory_budget_bytes // 2, k, graph.degree)
-    root_f = identity_state(k)
-    root_b = np.asarray(target.symbols, dtype=root_f.dtype)[None, :]
-    width = key_bits(k)
-    forward = _Ball(root_f, generator_columns(graph), key_fn, width, chunk)
-    backward = _Ball(
-        root_b, inverse_generator_columns(graph), key_fn, width, chunk
-    )
+    root_b = np.asarray(target.symbols, dtype=STATE_DTYPE)[None, :]
+    forward = _Ball(identity_state(k), codec, codec.moves(graph), chunk)
+    backward = _Ball(root_b, codec, codec.moves(graph, inverse=True), chunk)
     best = -1
 
     def note_meets(new_keys: np.ndarray, new_depth: int, other: _Ball,

@@ -1,26 +1,29 @@
 """Encoded states and hashable keys for table-free graph exploration.
 
-The frontier engine never materialises the ``k!`` node table; a set of
-nodes is an ``(m, k)`` **state matrix** — one uint8 one-line label per
-row, the exact byte layout of
-:attr:`repro.core.compiled.CompiledGraph.labels` but holding only the
-states currently in play.  Everything the engine does reduces to three
-primitives defined here:
+The frontier engine never materialises the ``k!`` node table; it holds
+only the states currently in play, in one of two representations
+chosen by :func:`_key_scheme` (see :class:`StateCodec`):
 
-* **move application** — generator ``g`` sends label row ``u`` to
-  ``u[g_cols]`` (``(u * g)(i) = u(g(i))``, the same column gather the
-  compiled move tables are built from), so "expand a frontier through
-  every generator" is one fancy-index per generator;
-* **keys** — each state row folds into one uint64 so that dedup becomes
-  ``sort`` + ``searchsorted`` over flat integer arrays.  For ``k <= 16``
-  the key is the label bit-packed 4 bits per symbol (injective: equal
-  keys *are* equal states); for ``k <= 20`` it is the Lehmer rank
-  (``20! < 2^63``, still exact); beyond that a seeded multiply-fold
-  hash with a documented (astronomically small) collision probability;
-* **dedup** — :func:`dedup_batch`, the one kernel every engine runs on
-  a candidate batch: sort once, keep each key's first occurrence,
-  probe the survivors against the visited window with sorted-query
-  :func:`in_any`, and restore first-occurrence order.
+* **words** (``k <= 16``) — a state is one uint64 word, nibble ``i``
+  holding ``symbol(i) - 1``.  That word is bit-equal to the state's
+  bit-pack key, so **the key is the state**: no key pass, 8 bytes per
+  state in RAM, on disk and on the wire.  Every generator only moves
+  symbols between positions, so it compiles to a
+  :class:`WordProgram`: positions grouped by displacement, one shift
+  and one mask per group;
+* **rows** (``k > 16``) — a state is its ``(k,)`` uint8 one-line label,
+  the byte layout of :attr:`repro.core.compiled.CompiledGraph.labels`.
+  Generator ``g`` sends row ``u`` to ``u[g_cols]`` (``(u * g)(i) =
+  u(g(i))``), one fancy-index per generator, and each row folds into a
+  uint64 key: the Lehmer rank for ``k <= 20`` (``20! < 2^63``, exact),
+  beyond that a seeded multiply-fold hash with a documented
+  (astronomically small) collision probability.
+
+Either way dedup runs on flat uint64 keys: :func:`dedup_batch`, the
+one kernel every engine runs on a candidate batch, sorts once, keeps
+each key's first occurrence, probes the survivors against the visited
+window with sorted-query :func:`in_any`, and restores first-occurrence
+order.
 """
 
 from __future__ import annotations
@@ -83,14 +86,74 @@ def inverse_generator_columns(graph) -> List[np.ndarray]:
     ]
 
 
-def expand_states(
-    states: np.ndarray, columns: Sequence[np.ndarray]
-) -> np.ndarray:
+class WordProgram:
+    """A generator set compiled to shift/mask programs on packed words.
+
+    Generator ``g`` puts the symbol at position ``cols[i]`` into
+    position ``i``; on a packed word that moves nibble ``i + d`` to
+    nibble ``i`` with ``d = cols[i] - i``.  Positions sharing a
+    displacement ``d`` move together, so each group is one shift (right
+    by ``4d``, left by ``-4d`` when ``d < 0``) and one mask of the
+    group's target nibbles, and the groups OR into the moved word.
+    Transpositions, block swaps, rotations and insertions have at most
+    three displacements, so a generator costs a handful of word
+    operations whatever ``k`` is.  Built once per run from the gather
+    columns (:func:`generator_columns` or
+    :func:`inverse_generator_columns`).
+    """
+
+    def __init__(self, columns: Sequence[np.ndarray]):
+        self.programs = []
+        for cols in columns:
+            groups: dict = {}
+            for i, src in enumerate(np.asarray(cols).tolist()):
+                groups.setdefault(src - i, []).append(i)
+            self.programs.append([
+                (
+                    np.right_shift if d > 0 else np.left_shift,
+                    np.uint64(4 * abs(d)),
+                    np.uint64(sum(0xF << (4 * i) for i in targets)),
+                )
+                for d, targets in sorted(groups.items())
+            ])
+
+    def __len__(self) -> int:
+        return len(self.programs)
+
+    def apply(self, words: np.ndarray) -> np.ndarray:
+        """Every generator applied to every word, row-major and
+        generator-minor like :func:`expand_states` on rows.  Each
+        generator fills one contiguous row of a ``(degree, m)`` block;
+        the final transposed copy restores candidate order."""
+        m = words.shape[0]
+        out = np.empty((len(self.programs), m), dtype=np.uint64)
+        scratch = np.empty(m, dtype=np.uint64)
+        for moved, program in zip(out, self.programs):
+            for j, (shift, bits, mask) in enumerate(program):
+                dst = scratch if j else moved
+                if bits:
+                    shift(words, bits, out=dst)
+                    dst &= mask
+                else:
+                    np.bitwise_and(words, mask, out=dst)
+                if j:
+                    moved |= scratch
+        return out.T.reshape(-1)
+
+
+def expand_states(states: np.ndarray, columns) -> np.ndarray:
     """All neighbours of ``states`` in **row-major, generator-minor**
     order: result row ``r`` is generator ``r % degree`` applied to
     state row ``r // degree`` — the exact candidate order of the
     compiled whole-frontier BFS, so first-occurrence dedup breaks ties
-    identically."""
+    identically.
+
+    ``columns`` is either a list of gather columns (``(m, k)`` uint8
+    rows in, rows out) or a :class:`WordProgram` (``(m,)`` packed
+    words in, words out) — whichever :meth:`StateCodec.moves` built.
+    """
+    if isinstance(columns, WordProgram):
+        return columns.apply(states)
     m, k = states.shape
     degree = len(columns)
     out = np.empty((m, degree, k), dtype=states.dtype)
@@ -134,6 +197,35 @@ def _nibble_fold(word: np.ndarray) -> np.ndarray:
     return word
 
 
+_HIGH_HALF = np.uint64(32)
+
+
+def pack_words(rows: np.ndarray) -> np.ndarray:
+    """``(m, k)`` label rows (``k <= 16``) -> ``(m,)`` uint64 words,
+    nibble ``i`` holding ``symbol(i) - 1``.
+
+    Each row is padded to 16 bytes, viewed as two little-endian uint64
+    words, and each word's bytes fold into nibbles — no ``(m, k)``
+    uint64 intermediate.
+    """
+    k = rows.shape[1]
+    padded = np.zeros((rows.shape[0], 16), dtype=np.uint8)
+    np.subtract(rows, 1, out=padded[:, :k])
+    halves = padded.view("<u8")
+    words = _nibble_fold(halves[:, 0])
+    if k > 8:
+        words |= _nibble_fold(halves[:, 1]) << _HIGH_HALF
+    return words.astype(np.uint64, copy=False)
+
+
+def unpack_words(words: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of :func:`pack_words`: ``(m,)`` words -> ``(m, k)``
+    uint8 label rows."""
+    shifts = np.arange(k, dtype=np.uint64) * np.uint64(4)
+    rows = (words[:, None] >> shifts) & np.uint64(0xF)
+    return (rows + np.uint64(1)).astype(STATE_DTYPE)
+
+
 def make_key_fn(k: int, seed: int = 0) -> Tuple[Callable, bool]:
     """The state->uint64 key function for ``k`` symbols.
 
@@ -145,25 +237,12 @@ def make_key_fn(k: int, seed: int = 0) -> Tuple[Callable, bool]:
     which callers surface via :class:`~repro.frontier.engine
     .FrontierBFS`'s ``exact_keys`` flag.
 
-    The bit-pack key is ``sum((s[i] - 1) << 4 i)``.  It is computed by
-    padding each row to 16 bytes, viewing them as two little-endian
-    uint64 words and folding each word's bytes into nibbles — no
-    ``(m, k)`` uint64 intermediate.
+    The bit-pack key is ``sum((s[i] - 1) << 4 i)`` (:func:`pack_words`),
+    the word a state *is* on the word path of :class:`StateCodec`.
     """
     scheme, _bits = _key_scheme(k)
     if scheme == "bitpack":
-        high = np.uint64(32)
-
-        def _bitpack(states: np.ndarray) -> np.ndarray:
-            padded = np.zeros((states.shape[0], 16), dtype=np.uint8)
-            np.subtract(states, 1, out=padded[:, :k])
-            words = padded.view("<u8")
-            keys = _nibble_fold(words[:, 0])
-            if k > 8:
-                keys |= _nibble_fold(words[:, 1]) << high
-            return keys.astype(np.uint64, copy=False)
-
-        return _bitpack, True
+        return pack_words, True
     if scheme == "lehmer":
         def _lehmer(states: np.ndarray) -> np.ndarray:
             return rank_array(states).astype(np.uint64)
@@ -183,6 +262,94 @@ def make_key_fn(k: int, seed: int = 0) -> Tuple[Callable, bool]:
         return acc
 
     return _hash, False
+
+
+def state_encoding(k: int) -> str:
+    """How states of ``k`` symbols are held: ``"words"`` (one packed
+    uint64, the bit-pack branch of :func:`_key_scheme`) or ``"rows"``
+    (uint8 label rows)."""
+    return "words" if _key_scheme(k)[0] == "bitpack" else "rows"
+
+
+def _states_are_keys(states: np.ndarray) -> np.ndarray:
+    return states
+
+
+class StateCodec:
+    """How one run holds its states, read from :func:`_key_scheme`.
+
+    ``encoding`` is :func:`state_encoding` of ``k``: ``"words"`` (a
+    state is its packed uint64 key, generators are
+    :class:`WordProgram` s) or ``"rows"`` (uint8 label rows, gather
+    columns, and ``row_key_fn`` — the row -> key function of
+    :func:`make_key_fn` — folding them into keys).  Engines build one
+    per run and use it for everything representation-specific: roots,
+    moves, keys, the wire format, and the label rows handed back to
+    callers.
+    """
+
+    def __init__(self, k: int, row_key_fn: Callable):
+        self.k = k
+        self.encoding = state_encoding(k)
+        self.words = self.encoding == "words"
+        #: candidate states -> uint64 keys (the states themselves on
+        #: the word path, so the key pass costs nothing).
+        self.key_fn = _states_are_keys if self.words else row_key_fn
+        self.key_width = key_bits(k)
+        #: bytes one exchanged row ships: its key, plus the label row
+        #: when the key is not the state.
+        self.wire_bytes = 8 if self.words else k + 8
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """``(m, k)`` label rows -> this run's states."""
+        if self.words:
+            return pack_words(rows)
+        return np.ascontiguousarray(rows, dtype=STATE_DTYPE)
+
+    def decode(self, states: np.ndarray) -> np.ndarray:
+        """This run's states -> ``(m, k)`` uint8 label rows."""
+        return unpack_words(states, self.k) if self.words else states
+
+    def moves(self, graph, inverse: bool = False):
+        """The generators (or their inverses, for predecessor
+        expansion) in the form :func:`expand_states` takes for these
+        states, compiled once per run."""
+        columns = (
+            inverse_generator_columns(graph) if inverse
+            else generator_columns(graph)
+        )
+        return WordProgram(columns) if self.words else columns
+
+    def take(self, states: np.ndarray, keys: np.ndarray,
+             idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows ``idx`` of a batch as ``(states, keys)`` — one gathered
+        array serving as both on the word path."""
+        part = keys[idx]
+        return (part if self.words else states[idx]), part
+
+    def wire(self, states: np.ndarray, keys: np.ndarray
+             ) -> Tuple[np.ndarray, ...]:
+        """The arrays that carry ``(states, keys)`` to another process,
+        keys first: only the keys on the word path."""
+        return (keys,) if self.words else (keys, states)
+
+    def unwire(self, arrays: Sequence[np.ndarray]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Inverse of :meth:`wire`: ``(states, keys)``."""
+        keys = arrays[0]
+        return (keys if self.words else arrays[1]), keys
+
+    def from_buffer(self, buf: bytes, rows: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(states, keys)`` from the bytes of :meth:`wire`'s arrays
+        written back to back."""
+        keys = np.frombuffer(buf, dtype=np.uint64, count=rows)
+        if self.words:
+            return keys, keys
+        states = np.frombuffer(
+            buf, dtype=STATE_DTYPE, offset=rows * 8, count=rows * self.k
+        ).reshape(rows, self.k)
+        return states, keys
 
 
 def in_sorted(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
@@ -289,19 +456,25 @@ def candidate_bytes(k: int, track_first_hop: bool = False) -> int:
     """Peak bytes one candidate costs while a batch is expanded, keyed
     and deduped.
 
-    The candidate's state row (``k``), its uint64 key (8) and an
-    optional first-hop tag (1) live through the whole batch.  On top
-    of them sits the larger of two scratch peaks that never overlap:
-    the key function's and :data:`DEDUP_SCRATCH_BYTES`.  The key
-    function's follows :func:`make_key_fn`'s choice of key: the 16-byte
-    padded row plus two 8-byte fold temporaries (bit-pack), the
-    comparison row plus rank and digit temporaries (Lehmer), or the
-    widened uint64 row and its product with the multipliers (hash).
+    An optional first-hop tag (1) lives through the whole batch, and so
+    does the candidate: one packed word (8) that is also its key on the
+    word path (:class:`StateCodec`), else a label row (``k``) plus its
+    uint64 key (8).  On top of them sits the larger of two scratch
+    peaks that never overlap: the expansion's or key function's, and
+    :data:`DEDUP_SCRATCH_BYTES`.  A :class:`WordProgram` holds its
+    ``(degree, m)`` block while copying it into candidate order, plus
+    one word of scratch per frontier row (16 at most); the key
+    functions hold the comparison row plus rank and digit temporaries
+    (Lehmer), or the widened uint64 row and its product with the
+    multipliers (hash).
     """
     scheme, _bits = _key_scheme(k)
-    key_scratch = {"bitpack": 32, "lehmer": k + 24}.get(scheme, 16 * k)
-    scratch = max(key_scratch, DEDUP_SCRATCH_BYTES)
-    return k + 8 + (1 if track_first_hop else 0) + scratch
+    if scheme == "bitpack":
+        held, scratch = 8, 16
+    else:
+        held, scratch = k + 8, (k + 24 if scheme == "lehmer" else 16 * k)
+    tag = 1 if track_first_hop else 0
+    return held + tag + max(scratch, DEDUP_SCRATCH_BYTES)
 
 
 def chunk_rows(

@@ -1,8 +1,8 @@
 """Memory-bounded frontier BFS: layer profiles without a node table.
 
 :class:`FrontierBFS` explores a Cayley/super-Cayley graph from the
-identity one layer at a time, holding only the current frontier (as an
-encoded state matrix), a bounded window of visited-state *keys*, and —
+identity one layer at a time, holding only the current frontier (packed
+words or label rows), a bounded window of visited-state *keys*, and —
 when a spill dir is given — streaming completed layers through ``.npy``
 segments on disk.  Peak memory is governed by ``memory_budget_bytes``,
 not by ``k!``: the budget fixes the expansion batch size
@@ -45,15 +45,13 @@ import numpy as np
 from ..core.tablestore import store_digest
 from ..obs import get_registry, get_tracer
 from .encoding import (
-    STATE_DTYPE,
+    StateCodec,
     check_state_count,
     chunk_rows,
     dedup_batch,
     expand_states,
-    generator_columns,
     identity_state,
     in_any,
-    key_bits,
     make_key_fn,
     merge_sorted,
 )
@@ -96,7 +94,7 @@ class FrontierResult:
     #: (see :class:`~repro.frontier.sharded.ShardedFrontierBFS`).
     exchange: Optional[dict] = None
     #: populated only with ``keep_layers=True`` (small-k testing):
-    #: per-layer state matrices in discovery order, plus first-hop tags
+    #: per-layer uint8 label rows in discovery order, plus first-hop tags
     #: when ``track_first_hop`` was on.
     layers: Optional[List[np.ndarray]] = None
     layer_tags: Optional[List[np.ndarray]] = None
@@ -201,9 +199,10 @@ class FrontierBFS:
     def run(self) -> FrontierResult:
         graph = self.graph
         k = graph.k
-        columns = generator_columns(graph)
-        degree = len(columns)
         key_fn, exact = make_key_fn(k, self.key_seed)
+        codec = StateCodec(k, key_fn)
+        moves = codec.moves(graph)
+        degree = len(moves)
         undirected = graph.is_undirectable()
         chunk = chunk_rows(
             self.memory_budget_bytes, k, degree, self.track_first_hop
@@ -222,18 +221,22 @@ class FrontierBFS:
                 "track_first_hop": self.track_first_hop,
             }
             if self.resume:
-                run = FrontierRunDir.resume(self.spill_dir, digest)
+                run = FrontierRunDir.resume(
+                    self.spill_dir, digest, codec.encoding
+                )
                 if run.complete:
                     raise SpillError(
                         f"run at {self.spill_dir} already completed — "
                         "nothing to resume"
                     )
             else:
-                run = FrontierRunDir.create(self.spill_dir, digest, meta)
+                run = FrontierRunDir.create(
+                    self.spill_dir, digest, meta, codec.encoding, k
+                )
 
         state = _SearchState(
-            key_fn=key_fn, undirected=undirected, degree=degree,
-            track_first_hop=self.track_first_hop, key_width=key_bits(k),
+            codec=codec, undirected=undirected, degree=degree,
+            track_first_hop=self.track_first_hop,
         )
         result = FrontierResult(
             network=graph.name, k=k, layer_sizes=[], num_states=0,
@@ -256,7 +259,7 @@ class FrontierBFS:
                 else:
                     self._seed_identity(run, state, result, k)
                 self._explore(
-                    run, state, result, columns, chunk,
+                    run, state, result, moves, chunk,
                     spill_threshold, registry,
                 )
             except BaseException:
@@ -281,14 +284,14 @@ class FrontierBFS:
     # -- setup ----------------------------------------------------------
 
     def _seed_identity(self, run, state, result, k: int) -> None:
-        root = identity_state(k)
+        root = state.codec.encode(identity_state(k))
         state.frontier = _RamLayer([root], [np.zeros(1, dtype=np.uint8)]
                                    if self.track_first_hop else None)
-        state.load_window(0, lambda d: state.key_fn(root))
+        state.load_window(0, lambda d: state.codec.key_fn(root))
         result.layer_sizes.append(1)
         result.num_states += 1
         if result.layers is not None:
-            result.layers.append(root.copy())
+            result.layers.append(identity_state(k))
             if result.layer_tags is not None:
                 result.layer_tags.append(np.full(1, -1, dtype=np.int16))
         if run is not None:
@@ -312,7 +315,7 @@ class FrontierBFS:
             raise SpillError("keep_layers cannot be combined with resume")
 
         def layer_keys(d: int) -> np.ndarray:
-            parts = [state.key_fn(seg) for seg in run.load_layer(d)]
+            parts = [state.codec.key_fn(s) for s in run.load_layer(d)]
             return np.sort(np.concatenate(parts))
 
         state.frontier = _DiskLayer(run, depth, self.track_first_hop)
@@ -320,7 +323,7 @@ class FrontierBFS:
 
     # -- the layer loop --------------------------------------------------
 
-    def _explore(self, run, state, result, columns, chunk,
+    def _explore(self, run, state, result, moves, chunk,
                  spill_threshold, registry) -> None:
         depth = len(result.layer_sizes) - 1
         width_gauge = registry.gauge("frontier.layer_width")
@@ -338,13 +341,13 @@ class FrontierBFS:
             layer_candidates = 0
             for states, tags in state.frontier.pieces(chunk):
                 stamps = [time.perf_counter()]
-                cand = expand_states(states, columns)
+                cand = expand_states(states, moves)
                 stamps.append(time.perf_counter())
-                keys = state.key_fn(cand)
+                keys = state.codec.key_fn(cand)
                 stamps.append(time.perf_counter())
                 sel, new_keys = dedup_batch(
                     keys, state.guard() + new.key_chunks,
-                    state.key_width, in_any,
+                    state.codec.key_width, in_any,
                 )
                 stamps.append(time.perf_counter())
                 if sel.size:
@@ -393,7 +396,9 @@ class FrontierBFS:
             )
             if result.layers is not None:
                 pieces = list(state.frontier.pieces(1 << 30))
-                result.layers.append(np.concatenate([p for p, _ in pieces]))
+                result.layers.append(state.codec.decode(
+                    np.concatenate([p for p, _ in pieces])
+                ))
                 if result.layer_tags is not None:
                     result.layer_tags.append(np.concatenate(
                         [t for _, t in pieces]
@@ -416,11 +421,10 @@ class _SearchState:
     """The dedup window (``seen``: one sorted key array) plus the
     current frontier."""
 
-    key_fn: Callable
+    codec: StateCodec
     undirected: bool
     degree: int
     track_first_hop: bool
-    key_width: int
     frontier: object = None
     cur_keys: np.ndarray = None
     seen: np.ndarray = None
@@ -478,15 +482,9 @@ class _DiskLayer:
         self.track_tags = track_tags
 
     def pieces(self, chunk_rows: int):
-        entry = self.run.layers[self.depth]
-        for i, name in enumerate(entry["segments"]):
-            tags = (
-                np.load(self.run.path / entry["tag_segments"][i])
-                if self.track_tags else None
-            )
-            yield from _slices(
-                np.load(self.run.path / name), tags, chunk_rows
-            )
+        for states, tags in self.run.iter_layer(self.depth,
+                                                self.track_tags):
+            yield from _slices(states, tags, chunk_rows)
 
     def discard(self) -> None:  # segments stay on disk for resume
         pass
@@ -513,7 +511,7 @@ class _LayerBuilder:
 
     def add(self, states: np.ndarray, sorted_keys: np.ndarray,
             tags: Optional[np.ndarray]) -> None:
-        states = np.ascontiguousarray(states, dtype=STATE_DTYPE)
+        states = np.ascontiguousarray(states)
         self.pending.append(states)
         if tags is not None:
             self.pending_tags.append(tags)

@@ -12,9 +12,11 @@ per-worker memory is ~``budget / W``), and journals its own
 Per layer the protocol is owner-computes all-to-all:
 
 1. **expand** — every worker expands its local frontier with the same
-   column gathers as the single-process engine, computes child keys,
-   and partitions children by owner in one vectorized bucket pass;
-2. **exchange** — each ``(states, keys)`` bucket ships to its owner
+   moves as the single-process engine, keys the children (free for
+   packed words: the key is the state), and partitions them by owner
+   in one vectorized bucket pass;
+2. **exchange** — each bucket ships to its owner (8 bytes a row for
+   packed words, the label row plus its key otherwise)
    over a ``multiprocessing`` queue, or — above ``slab_threshold``
    bytes — through a named memory-backed **slab segment** (a file
    under ``/dev/shm``, the tablestore idiom: deterministic
@@ -71,15 +73,15 @@ import numpy as np
 from ..core.tablestore import store_digest
 from ..obs import get_registry, get_tracer
 from .encoding import (
+    StateCodec,
     check_state_count,
     chunk_rows,
     dedup_batch,
     expand_states,
-    generator_columns,
     identity_state,
     in_any,
-    key_bits,
     make_key_fn,
+    state_encoding,
 )
 from .engine import (
     DEFAULT_MEMORY_BUDGET,
@@ -99,7 +101,7 @@ from .spill import (
 #: coordinator-side metadata file at the spill root (the shard dirs'
 #: journals hang off it as ``shard-{i}/journal.json``).
 COORDINATOR_META = "coordinator.json"
-COORDINATOR_FORMAT = 1
+COORDINATOR_FORMAT = 2
 
 #: exchange chunks at or above this many bytes ride a memory-backed
 #: slab segment instead of the queue pickle path.
@@ -187,21 +189,19 @@ class _ShardReceiver:
             self.received_remote += rows
         sel, new_keys = dedup_batch(
             keys, self.window.guard() + self.builder.key_chunks,
-            self.window.key_width, in_any,
+            self.window.codec.key_width, in_any,
         )
         if sel.size:
             self.builder.add(states[sel], new_keys, None)
         self.discarded += rows - int(sel.size)
 
     def absorb_message(self, msg) -> None:
-        kind = msg[0]
+        kind, codec = msg[0], self.window.codec
         if kind == "buf":
-            _src, _depth, states, keys = msg[1:]
-            self.absorb(states, keys, local=False)
+            self.absorb(*codec.unwire(msg[3]), local=False)
         elif kind == "slab":
-            _src, _depth, name, rows, k = msg[1:]
-            states, keys = _read_slab(name, rows, k)
-            self.absorb(states, keys, local=False)
+            _src, _depth, name, rows = msg[1:]
+            self.absorb(*_read_slab(name, rows, codec), local=False)
         else:  # pragma: no cover - protocol bug
             raise RuntimeError(f"unknown exchange message {kind!r}")
 
@@ -217,27 +217,23 @@ class _ShardReceiver:
             absorbed += 1
 
 
-def _write_slab(tag: str, sender: int, seq: int,
-                states: np.ndarray, keys: np.ndarray) -> str:
+def _write_slab(tag: str, sender: int, seq: int, arrays) -> str:
+    """Publish one chunk's wire arrays (:meth:`StateCodec.wire`)."""
     name = f"{SLAB_PREFIX}{tag}_{sender}_{seq:06d}"
     path = _slab_dir() / name
     tmp = path.with_name(f".{name}.tmp")
     with open(tmp, "wb") as fh:
-        fh.write(np.ascontiguousarray(keys, dtype=np.uint64).tobytes())
-        fh.write(np.ascontiguousarray(states, dtype=np.uint8).tobytes())
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr).tobytes())
     os.replace(tmp, path)
     return name
 
 
-def _read_slab(name: str, rows: int, k: int):
+def _read_slab(name: str, rows: int, codec: StateCodec):
     """Consume one slab segment: read, decode, unlink (receiver owns
     the unlink; the coordinator's tag sweep is the crash backstop)."""
     path = _slab_dir() / name
-    buf = path.read_bytes()
-    keys = np.frombuffer(buf, dtype=np.uint64, count=rows)
-    states = np.frombuffer(
-        buf, dtype=np.uint8, offset=rows * 8, count=rows * k
-    ).reshape(rows, k)
+    states, keys = codec.from_buffer(path.read_bytes(), rows)
     try:
         path.unlink()
     except OSError:  # pragma: no cover - swept already
@@ -292,9 +288,9 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
     my_queue = data_queues[index]
     try:
         k = graph.k
-        columns = generator_columns(graph)
-        degree = len(columns)
-        key_fn, _exact = make_key_fn(k, key_seed)
+        codec = StateCodec(k, make_key_fn(k, key_seed)[0])
+        moves = codec.moves(graph)
+        degree = len(moves)
         undirected = graph.is_undirectable()
         chunk = chunk_rows(worker_budget, k, degree, False)
         spill_threshold = max(4096, worker_budget // 4)
@@ -303,17 +299,16 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
         if shard_dir is not None:
             digest = store_digest(graph)
             if resume:
-                run = FrontierRunDir.resume(shard_dir, digest)
+                run = FrontierRunDir.resume(shard_dir, digest,
+                                            codec.encoding)
             else:
                 run = FrontierRunDir.create(shard_dir, digest, meta={
                     "network": graph.name, "k": k, "shard": index,
                     "workers": num_workers, "key_seed": key_seed,
-                })
+                }, encoding=codec.encoding, k=k)
 
-        window = _SearchState(
-            key_fn=key_fn, undirected=undirected, degree=degree,
-            track_first_hop=False, key_width=key_bits(k),
-        )
+        window = _SearchState(codec=codec, undirected=undirected,
+                              degree=degree, track_first_hop=False)
         empty_keys = np.empty(0, dtype=np.uint64)
 
         if resume and run is not None:
@@ -321,8 +316,8 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
                        run.complete))
         else:
             # Seed depth 0: only the identity key's owner holds it.
-            root = identity_state(k)
-            root_keys = np.sort(key_fn(root))
+            root = codec.encode(identity_state(k))
+            root_keys = codec.key_fn(root)
             mine = int(owner_of(root_keys, num_workers)[0]) == index
             window.frontier = _RamLayer([root] if mine else [], None)
             window.load_window(
@@ -340,7 +335,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
         pending = None  # (depth_of_next_layer, builder, receiver)
 
         def layer_keys(d: int) -> np.ndarray:
-            parts = [key_fn(seg) for seg in run.load_layer(d)]
+            parts = [codec.key_fn(seg) for seg in run.load_layer(d)]
             if not parts:
                 return empty_keys
             return np.sort(np.concatenate(parts))
@@ -372,8 +367,8 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
                 batches = 0
                 candidates = 0
                 for states, _tags in window.frontier.pieces(chunk):
-                    cand = expand_states(states, columns)
-                    keys = key_fn(cand)
+                    cand = expand_states(states, moves)
+                    keys = codec.key_fn(cand)
                     buckets, _owners = partition_by_owner(
                         keys, num_workers
                     )
@@ -382,31 +377,25 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
                         if not idx.size:
                             continue
                         sent[w] += int(idx.size)
+                        part = codec.take(cand, keys, idx)
                         if w == index:
-                            receiver.absorb(
-                                cand[idx], keys[idx], local=True
-                            )
+                            receiver.absorb(*part, local=True)
                             continue
-                        nbytes = int(idx.size) * (k + 8)
+                        nbytes = int(idx.size) * codec.wire_bytes
                         shipped_bytes += nbytes
                         if nbytes >= slab_threshold:
                             name = _write_slab(
                                 slab_tag, index, slab_seq,
-                                cand[idx], keys[idx],
+                                codec.wire(*part),
                             )
                             slab_seq += 1
                             slab_chunks += 1
-                            data_queues[w].put(
-                                ("slab", index, depth + 1, name,
-                                 int(idx.size), k)
-                            )
+                            data_queues[w].put(("slab", index, depth + 1,
+                                                name, int(idx.size)))
                         else:
                             pipe_chunks += 1
-                            data_queues[w].put(
-                                ("buf", index, depth + 1,
-                                 np.ascontiguousarray(cand[idx]),
-                                 np.ascontiguousarray(keys[idx]))
-                            )
+                            data_queues[w].put(("buf", index, depth + 1,
+                                                codec.wire(*part)))
                     batches += 1
                     candidates += int(keys.size)
                     # absorb whatever peers have already shipped so the
@@ -610,6 +599,7 @@ class ShardedFrontierBFS:
         if self.spill_dir is None:
             return
         digest = store_digest(self.graph)
+        encoding = state_encoding(self.graph.k)
         meta_path = self.spill_dir / COORDINATOR_META
         if self.resume:
             if not meta_path.exists():
@@ -639,6 +629,11 @@ class ShardedFrontierBFS:
                     f"is worker-count-dependent, so resume with "
                     f"--workers {meta.get('workers')}"
                 )
+            if meta.get("encoding") != encoding:
+                raise SpillError(
+                    f"sharded run holds {meta.get('encoding')!r} states;"
+                    f" this run would read {encoding!r} states"
+                )
             if int(meta.get("key_seed", 0)) != int(self.key_seed):
                 raise SpillError(
                     f"sharded run was journaled with key_seed="
@@ -663,6 +658,7 @@ class ShardedFrontierBFS:
             "k": self.graph.k,
             "workers": self.workers,
             "key_seed": int(self.key_seed),
+            "encoding": encoding,
             "memory_budget_bytes": self.memory_budget_bytes,
             "slab_tag": self._slab_tag,
         })

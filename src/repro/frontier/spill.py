@@ -5,11 +5,16 @@ through disk instead of RAM: layer ``d``'s states land as one or more
 ``layer_####_####.npy`` segments (plus ``..._tags.npy`` when first-hop
 tracking is on), and a ``journal.json`` is atomically rewritten after
 each *completed* layer.  The journal is the resume point: it names the
-graph (via :func:`repro.core.tablestore.store_digest`), the budget, and
-for each finished layer its size and segment files — everything needed
-to restart the search from the last completed layer after a crash,
+graph (via :func:`repro.core.tablestore.store_digest`), the state
+encoding of its segments (``"words"``: one uint64 per state;
+``"rows"``: ``(m, k)`` uint8 labels — see
+:class:`~repro.frontier.encoding.StateCodec`), the budget, and for each
+finished layer its size and segment files — everything needed to
+restart the search from the last completed layer after a crash,
 including a SIGKILL that left half-written segments behind (resume
-prunes any file the journal does not claim).
+prunes any file the journal does not claim).  Every segment is read
+back through :meth:`FrontierRunDir.read_segment`, which turns an
+unreadable, mistyped or short segment into :class:`SpillError`.
 
 Hygiene mirrors the table store's owned-segment registry
 (:mod:`repro.core.tablestore`): every run dir this process is actively
@@ -33,15 +38,17 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-#: journal schema version.
-JOURNAL_FORMAT = 1
+#: journal schema version (2: segments follow a recorded state
+#: encoding).
+JOURNAL_FORMAT = 2
 
 JOURNAL_NAME = "journal.json"
 
 
 class SpillError(RuntimeError):
-    """A run dir exists but cannot be resumed (wrong graph, corrupt
-    journal, missing segments) — callers start fresh or bail."""
+    """A run dir exists but cannot be resumed (wrong graph or state
+    encoding, corrupt journal, missing or damaged segments) — callers
+    start fresh or bail."""
 
 
 # ----------------------------------------------------------------------
@@ -131,10 +138,14 @@ class FrontierRunDir:
     """
 
     def __init__(self, path: Union[str, Path], graph_digest: str,
-                 meta: Optional[Dict[str, object]] = None):
+                 meta: Optional[Dict[str, object]] = None,
+                 encoding: str = "rows", k: Optional[int] = None):
         self.path = Path(path)
         self.graph_digest = graph_digest
         self.meta = dict(meta or {})
+        #: how segments hold states; ``k`` fixes the width of rows.
+        self.encoding = encoding
+        self.k = k
         self.layers: List[Dict[str, object]] = []
         self.complete = False
 
@@ -142,9 +153,10 @@ class FrontierRunDir:
 
     @classmethod
     def create(cls, path: Union[str, Path], graph_digest: str,
-               meta: Optional[Dict[str, object]] = None
+               meta: Optional[Dict[str, object]] = None,
+               encoding: str = "rows", k: Optional[int] = None
                ) -> "FrontierRunDir":
-        run = cls(path, graph_digest, meta)
+        run = cls(path, graph_digest, meta, encoding, k)
         run.path.mkdir(parents=True, exist_ok=True)
         stale = run.path / JOURNAL_NAME
         if stale.exists():  # a previous run we were told not to resume
@@ -156,9 +168,14 @@ class FrontierRunDir:
         return run
 
     @classmethod
-    def resume(cls, path: Union[str, Path], graph_digest: str
-               ) -> "FrontierRunDir":
-        """Reopen a crashed run: validate the journal, prune orphans."""
+    def resume(cls, path: Union[str, Path], graph_digest: str,
+               encoding: str) -> "FrontierRunDir":
+        """Reopen a crashed run: validate the journal, prune orphans.
+
+        ``encoding`` is the state encoding this run would write; a
+        journal recording another one (or predating format 2, which
+        first recorded it) raises :class:`SpillError`.
+        """
         path = Path(path)
         journal_path = path / JOURNAL_NAME
         if not journal_path.exists():
@@ -178,7 +195,13 @@ class FrontierRunDir:
                 f"journal at {journal_path} is for another graph "
                 f"({data.get('graph_digest')!r} != {graph_digest!r})"
             )
-        run = cls(path, graph_digest, data.get("meta") or {})
+        if data.get("encoding") != encoding:
+            raise SpillError(
+                f"journal at {journal_path} holds {data.get('encoding')!r}"
+                f" states; this run would read {encoding!r} states"
+            )
+        run = cls(path, graph_digest, data.get("meta") or {}, encoding,
+                  data.get("k"))
         run.layers = list(data.get("layers") or [])
         run.complete = bool(data.get("complete"))
         for entry in run.layers:
@@ -197,6 +220,8 @@ class FrontierRunDir:
         blob = json.dumps({
             "format": JOURNAL_FORMAT,
             "graph_digest": self.graph_digest,
+            "encoding": self.encoding,
+            "k": self.k,
             "meta": self.meta,
             "layers": self.layers,
             "complete": self.complete,
@@ -249,12 +274,58 @@ class FrontierRunDir:
         })
         self._write_journal()
 
-    def load_layer(self, depth: int, tags: bool = False
-                   ) -> List[np.ndarray]:
-        """The committed segments of layer ``depth``, in write order."""
+    def read_segment(self, name: str, tags: bool = False) -> np.ndarray:
+        """Load one segment, checked against the run's encoding: a
+        file ``np.load`` cannot read, or one of the wrong dtype or
+        width, raises :class:`SpillError`."""
+        try:
+            arr = np.load(self.path / name, allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise SpillError(
+                f"unreadable segment {name} in {self.path}: {exc}"
+            ) from exc
+        flat = tags or self.encoding == "words"
+        dtype = np.uint8 if tags or not flat else np.uint64
+        shape_ok = arr.ndim == 1 if flat else (
+            arr.ndim == 2 and self.k in (None, arr.shape[1])
+        )
+        if arr.dtype != dtype or not shape_ok:
+            raise SpillError(
+                f"segment {name} in {self.path} holds {arr.dtype} "
+                f"{list(arr.shape)}, not this run's "
+                f"{'tags' if tags else self.encoding}"
+            )
+        return arr
+
+    def iter_layer(self, depth: int, tags: bool = False):
+        """Yield layer ``depth``'s ``(states, tags or None)`` segment
+        pairs in write order, each through :meth:`read_segment`; rows
+        that do not sum to the journaled layer size raise
+        :class:`SpillError` (at the latest after the last segment)."""
         entry = self.layers[depth]
-        names = entry["tag_segments"] if tags else entry["segments"]
-        return [np.load(self.path / name) for name in names]
+        size, seen = int(entry["size"]), 0
+        mismatch = SpillError(
+            f"layer {depth} segments in {self.path} do not hold the "
+            f"{size} journaled states"
+        )
+        for i, name in enumerate(entry["segments"]):
+            states = self.read_segment(name)
+            tag = (
+                self.read_segment(entry["tag_segments"][i], tags=True)
+                if tags else None
+            )
+            seen += states.shape[0]
+            if seen > size or (tag is not None
+                               and tag.shape[0] != states.shape[0]):
+                raise mismatch
+            yield states, tag
+        if seen != size:
+            raise mismatch
+
+    def load_layer(self, depth: int) -> List[np.ndarray]:
+        """The committed state segments of layer ``depth``, in write
+        order (validated by :meth:`iter_layer`)."""
+        return [states for states, _ in self.iter_layer(depth)]
 
     def truncate(self, num_layers: int) -> List[str]:
         """Drop journaled layers beyond the first ``num_layers``.

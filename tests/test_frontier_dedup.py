@@ -4,10 +4,10 @@
 frontier engine runs.  These tests hold it to the algorithm it
 replaced (membership on unsorted keys, then ``np.unique`` first
 positions — kept below as the oracle), pin the bit-pack key to the
-shift-and-sum definition that spill files and shard ownership depend
-on, check the per-candidate memory model against measured
-allocations, and check that a broken dedup fails fast instead of
-exploring forever.
+shift-and-sum definition that packed states, spill files and shard
+ownership depend on, check the per-candidate memory model against
+measured allocations on both state encodings, and check that a broken
+dedup fails fast instead of exploring forever.
 """
 
 import multiprocessing
@@ -32,10 +32,10 @@ from repro.frontier import (
     make_key_fn,
 )
 from repro.frontier.encoding import (
+    StateCodec,
     candidate_bytes,
     dedup_batch,
     expand_states,
-    generator_columns,
     identity_state,
     in_any,
     key_bits,
@@ -156,9 +156,10 @@ class TestKeys:
 
 class TestMemoryModel:
     @pytest.mark.parametrize("family,kwargs,force_hash", [
-        ("MS", {"l": 3, "n": 2}, False),   # k=7, one-word bit-pack
-        ("MS", {"l": 9, "n": 1}, False),   # k=10, two-word bit-pack
-        ("MS", {"l": 9, "n": 1}, True),    # k=10, hash keys, argsort
+        ("MS", {"l": 3, "n": 2}, False),   # k=7, packed words
+        ("MS", {"l": 9, "n": 1}, False),   # k=10, packed words
+        ("MS", {"l": 9, "n": 1}, True),    # k=10, hash-keyed rows, argsort
+        ("MS", {"l": 5, "n": 3}, False),   # k=16, the widest packed words
     ])
     def test_batch_peak_within_candidate_bytes(
         self, monkeypatch, family, kwargs, force_hash
@@ -168,18 +169,19 @@ class TestMemoryModel:
             monkeypatch.setattr(encoding, "MAX_EXACT_KEY_K", 0)
         net = make_network(family, **kwargs)
         k = net.k
-        columns = generator_columns(net)
-        key_fn, _exact = make_key_fn(k)
+        codec = StateCodec(k, make_key_fn(k)[0])
+        assert codec.encoding == ("rows" if force_hash else "words")
+        moves = codec.moves(net)
         rng = np.random.default_rng(0)
-        states = np.stack(
+        states = codec.encode(np.stack(
             [rng.permutation(k) + 1 for _ in range(4000)]
-        ).astype(np.uint8)
-        guard = [np.unique(key_fn(states[:1000]))]
+        ).astype(np.uint8))
+        guard = [np.unique(codec.key_fn(states[:1000]))]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cand = expand_states(states, columns)
-            keys = key_fn(cand)
+            cand = expand_states(states, moves)
+            keys = codec.key_fn(cand)
             dedup_batch(keys, guard, key_bits(k))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -204,7 +206,7 @@ def deadline(seconds):
 
 def wide_key_fn(k, seed=0):
     """A key function wider than the width the engine packs: hashed
-    64-bit keys where ``key_bits(k)`` promises ``4k`` bits.  The kernel
+    64-bit keys where ``key_bits(k)`` promises fewer bits.  The kernel
     then truncates each key by a batch-size-dependent amount, so
     visited states stop matching and the search would never end."""
     exact_fn, _exact = make_key_fn(k, seed)
@@ -216,33 +218,67 @@ def wide_key_fn(k, seed=0):
     return keys, True
 
 
+def no_membership(values, _sorted_refs):
+    """A membership probe that never finds a key: every batch re-admits
+    the states it has already seen.  On packed words the key is the
+    state, so a broken probe (not a broken key) is what can run away."""
+    return np.zeros(values.shape, dtype=bool)
+
+
+forks_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the patched function only by fork",
+)
+
+
 class TestBrokenDedupFailsFast:
     def test_single_process_raises_state_count_error(self, monkeypatch):
         import repro.frontier.engine as engine
 
-        monkeypatch.setattr(engine, "make_key_fn", wide_key_fn)
+        monkeypatch.setattr(engine, "in_any", no_membership)
         net = make_network("MS", l=2, n=3)
         started = time.monotonic()
         with deadline(60), pytest.raises(StateCountError, match="7!"):
             FrontierBFS(net, memory_budget_bytes=1 << 16).run()
         assert time.monotonic() - started < 30
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="workers inherit the patched key function only by fork",
-    )
+    @forks_only
     def test_sharded_coordinator_raises_state_count_error(
         self, monkeypatch
     ):
         import repro.frontier.sharded as sharded
 
-        monkeypatch.setattr(sharded, "make_key_fn", wide_key_fn)
+        monkeypatch.setattr(sharded, "in_any", no_membership)
         net = make_network("MS", l=2, n=3)
         started = time.monotonic()
         with deadline(60), pytest.raises(StateCountError, match="7!"):
             ShardedFrontierBFS(
                 net, workers=2, memory_budget_bytes=1 << 17,
             ).run()
+        assert time.monotonic() - started < 30
+
+    @pytest.mark.parametrize("engine_name", [
+        "engine", pytest.param("sharded", marks=forks_only),
+    ])
+    def test_wide_keys_on_row_path_raise_state_count_error(
+        self, monkeypatch, engine_name
+    ):
+        # rows are the only path that calls the key function per batch
+        import repro.frontier.engine as engine
+        import repro.frontier.sharded as sharded
+
+        monkeypatch.setattr(encoding, "MAX_BITPACK_K", 0)
+        module = engine if engine_name == "engine" else sharded
+        monkeypatch.setattr(module, "make_key_fn", wide_key_fn)
+        net = make_network("MS", l=2, n=3)
+        started = time.monotonic()
+        with deadline(60), pytest.raises(StateCountError, match="7!"):
+            if module is engine:
+                FrontierBFS(net, memory_budget_bytes=1 << 16).run()
+            else:
+                ShardedFrontierBFS(
+                    net, workers=2, memory_budget_bytes=1 << 17,
+                ).run()
         assert time.monotonic() - started < 30
 
 
@@ -278,9 +314,8 @@ class TestBidirectionalWindow:
 
         net = make_network(family, l=2, n=3)
         k = net.k
-        key_fn, _exact = make_key_fn(k)
-        ball = _Ball(identity_state(k), generator_columns(net), key_fn,
-                     key_bits(k), chunk=64)
+        codec = StateCodec(k, make_key_fn(k)[0])
+        ball = _Ball(identity_state(k), codec, codec.moves(net), chunk=64)
         for _ in range(net.num_nodes):  # a broken dedup raises first
             if ball.expand() is None:
                 break
