@@ -9,8 +9,9 @@ proxy:
   consistent-hash ring mapping query families to replica sets with
   minimal key movement on join/leave;
 * :mod:`~repro.cluster.router` — :class:`ClusterRouter`, an asyncio
-  newline-JSON front proxy with health-checked backends, exactly-once
-  failover retry, and closed cluster-wide accounting;
+  front proxy (JSON or binary clients, frames only to replicas) with
+  health-checked backends, exactly-once failover retry, and closed
+  cluster-wide accounting;
 * :mod:`~repro.cluster.manager` — :class:`ClusterManager`, replica
   lifecycle: launch, kill, restart, graceful zero-loss drain, rolling
   restart;

@@ -1,14 +1,22 @@
 """Consistent-hash front proxy with health checks and failover.
 
 :class:`ClusterRouter` is the cluster's single client-facing endpoint.
-It speaks the same newline-JSON protocol as
-:class:`~repro.serve.server.QueryServer`, but instead of executing
-queries it *places* them: each request hashes by its network family
-onto the :class:`~repro.cluster.ring.HashRing` and is forwarded to the
-first healthy replica in the family's preference list over a
-persistent per-replica connection (internal ids are rewritten on the
-way out and restored on the way back, so many client connections
-multiplex safely onto one backend socket).
+It takes either client protocol of
+:class:`~repro.serve.server.QueryServer` — newline JSON or binary
+frames (:mod:`repro.serve.wire`) — but instead of executing queries it
+*places* them: each request hashes by its network family onto the
+:class:`~repro.cluster.ring.HashRing` and is forwarded to the first
+healthy replica in the family's preference list.
+
+The protocol is decided once, at the client edge.  A binary client's
+frame is the forwarded object as it arrived; a JSON client's line is
+parsed once and framed with :func:`~repro.serve.wire.encode_request`.
+From there one path serves both: the replica link speaks frames only,
+over a persistent per-replica connection where each frame's
+fixed-offset id is re-stamped to an internal call id (so many client
+connections multiplex safely onto one backend socket), and the reply
+step restores the client's own id and answers in the client's own
+protocol.
 
 Failure handling mirrors the paper's fault-tolerant routing at the
 system level:
@@ -30,7 +38,8 @@ at all times (``stats`` is answered inline and exempt, like the
 server's).  Metrics flow through :mod:`repro.obs` under ``cluster.*``:
 ``cluster.router.retries``, ``cluster.router.failovers``,
 ``cluster.ring.moved_keys``, and per-replica ``cluster.replica_up``
-health gauges.
+health gauges.  A traced request of either protocol gets the
+``router.route`` span between the client's and the replica's.
 """
 
 from __future__ import annotations
@@ -64,6 +73,54 @@ UP_METRIC = "cluster.replica_up"
 
 class BackendDied(ConnectionError):
     """The replica connection severed while a call was in flight."""
+
+
+#: a client request that carried no id (a JSON ``"id": null`` is an id
+#: and is echoed back)
+_NO_ID = object()
+
+
+def _frame(request: Dict[str, object]) -> "wire.Frame":
+    """A request dict as the parsed frame the replica link carries."""
+    return wire.parse_frame(wire.encode_request(request))
+
+
+class _Request:
+    """One client request inside the router: the frame forwarded to a
+    replica, its JSON header (placement key, op, trace context), and the
+    client's protocol and own id for the reply step."""
+
+    __slots__ = ("binary", "client_id", "frame", "header", "op")
+
+    def __init__(self, message=None):
+        self.binary = isinstance(message, wire.Frame)
+        self.client_id = _NO_ID
+        self.frame = message if self.binary else None
+        self.header: Dict[str, object] = {}
+        self.op = None
+        if self.binary:
+            self.op = wire.OP_NAMES.get(message.opcode)
+            if message.has_id:
+                self.client_id = message.request_id
+
+    def parse(self, message) -> None:
+        """Frame the request at the edge: a binary frame stays the
+        forwarded object and only its JSON header is parsed; a JSON
+        line is parsed once and framed.  Raises ``ValueError``
+        (``WireError`` included) or ``TypeError`` on a malformed
+        request."""
+        if message is wire.OVERSIZED:
+            raise ValueError(
+                f"line over the {wire.WIRE_LIMIT}-byte wire limit"
+            )
+        if self.binary:
+            self.header = message.header()
+            self.header.pop("id", None)  # a frame's id is in its fixed header
+        else:
+            self.header = wire.decode_json_request(message)
+            self.client_id = self.header.pop("id", _NO_ID)
+            self.frame = _frame(self.header)
+        self.op = self.header.get("op") or self.op
 
 
 class _Backend:
@@ -121,7 +178,8 @@ class RouterStats:
 
 
 class ClusterRouter:
-    """Route newline-JSON queries to a replica set over a hash ring.
+    """Route queries of either client protocol to a replica set over a
+    hash ring.
 
     ``backends`` maps replica names to ``(host, port)`` addresses.
     ``probe_spec`` (a network spec dict) makes health probes real
@@ -217,8 +275,9 @@ class ClusterRouter:
         )
 
     async def _reader_loop(self, backend: _Backend) -> None:
-        """Resolve in-flight calls by echoed internal id; a severed
-        connection fails everything pending *immediately*."""
+        """Resolve in-flight calls by the id echoed in each response
+        frame; a severed connection fails everything pending
+        *immediately*."""
         reader = backend.reader
         try:
             while True:
@@ -228,30 +287,13 @@ class ClusterRouter:
                     break  # unsyncable / truncated frame: sever for real
                 if message is None:
                     break
-                if message is wire.OVERSIZED:
-                    # One response overran even the 16 MiB wire limit
-                    # (e.g. a pathological metrics fan-in).  The
-                    # replica is *alive* — read_message consumed the
-                    # line and the stream stays framed — so skip it and
-                    # let the waiting call time out.  Severing here
-                    # would fail every in-flight call with BackendDied
-                    # and trigger spurious failover.
-                    continue
-                if isinstance(message, wire.Frame):
-                    future = backend.pending.pop(
-                        message.request_id if message.has_id else None,
-                        None,
-                    )
-                    if future is not None and not future.done():
-                        future.set_result(message)
-                    continue
-                try:
-                    response = json.loads(message)
-                except ValueError:
-                    continue  # garbage from a dying replica
-                future = backend.pending.pop(response.get("id"), None)
+                if not isinstance(message, wire.Frame):
+                    continue  # replicas answer frames with frames
+                future = backend.pending.pop(
+                    message.request_id if message.has_id else None, None
+                )
                 if future is not None and not future.done():
-                    future.set_result(response)
+                    future.set_result(message)
         except (ConnectionResetError, OSError, asyncio.CancelledError):
             pass
         finally:
@@ -322,50 +364,22 @@ class ClusterRouter:
             probe = {"op": "stats"}
         try:
             response = await self._call(
-                backend, probe, timeout=self.probe_timeout
+                backend, _frame(probe), timeout=self.probe_timeout
             )
         except (BackendDied, asyncio.TimeoutError):
             return False
-        return bool(response.get("ok"))
+        return bool(response.flags & wire.FLAG_OK)
 
     async def _call(
         self,
         backend: _Backend,
-        request: Dict[str, object],
-        timeout: float,
-    ) -> Dict[str, object]:
-        """One multiplexed request/response exchange on the replica's
-        persistent connection (internal id in, response out)."""
-        if backend.writer is None:
-            raise BackendDied(f"{backend.name}: not connected")
-        call_id = self._next_call_id
-        self._next_call_id += 1
-        payload = dict(request)
-        payload["id"] = call_id
-        future = asyncio.get_running_loop().create_future()
-        backend.pending[call_id] = future
-        try:
-            backend.writer.write(json.dumps(payload).encode() + b"\n")
-            await backend.writer.drain()
-        except (ConnectionResetError, OSError) as exc:
-            backend.pending.pop(call_id, None)
-            self._sever(backend, f"write failed: {exc}")
-            raise BackendDied(f"{backend.name}: write failed") from exc
-        try:
-            return await asyncio.wait_for(future, timeout=timeout)
-        finally:
-            backend.pending.pop(call_id, None)
-
-    async def _call_frame(
-        self,
-        backend: _Backend,
         frame: "wire.Frame",
         timeout: float,
-    ):
-        """One multiplexed binary exchange: the raw frame is forwarded
-        with only its fixed-offset id re-stamped (no JSON or payload
-        re-encode — the proxy fast path), and the response resolves by
-        the echoed internal id like any other call."""
+    ) -> "wire.Frame":
+        """One multiplexed exchange on the replica's persistent
+        connection: the frame goes out raw with only its fixed-offset
+        id re-stamped to an internal call id (no payload re-encode),
+        and the response frame resolves by that echoed id."""
         if backend.writer is None:
             raise BackendDied(f"{backend.name}: not connected")
         call_id = self._next_call_id
@@ -469,66 +483,52 @@ class ClusterRouter:
                 stats.rejected += 1
                 if registry.enabled:
                     registry.counter("cluster.router.requests").inc(1)
-                await self._send(writer, {
-                    "ok": False, "error": "malformed frame",
-                })
+                request = _Request()
+                await self._reply(writer, request, self._error(
+                    request, "malformed frame"
+                ))
                 break
             except (ConnectionResetError, OSError,
                     asyncio.IncompleteReadError):
                 break
             if message is None:
                 break
-            if message is wire.OVERSIZED:
-                # Over-limit JSON line, consumed and discarded — the
-                # connection survives, accounting stays closed.
-                stats.received += 1
-                stats.rejected += 1
-                if registry.enabled:
-                    registry.counter("cluster.router.requests").inc(1)
-                await self._send(writer, {
-                    "ok": False,
-                    "error": "malformed request: line over the "
-                             f"{wire.WIRE_LIMIT}-byte wire limit",
-                })
-                continue
             stats.received += 1
             if registry.enabled:
                 registry.counter("cluster.router.requests").inc(1)
-            if isinstance(message, wire.Frame):
-                await self._handle_frame(message, writer)
-                continue
+            request = _Request(message)
             try:
-                request = json.loads(message)
-                if not isinstance(request, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
+                request.parse(message)
+            except (TypeError, ValueError) as exc:
+                # an over-limit JSON line (consumed and discarded), bad
+                # JSON, a non-object, an unhashable op or a bad frame
+                # header: the connection survives, accounting stays
+                # closed
                 stats.rejected += 1
-                await self._send(writer, {
-                    "ok": False, "error": f"malformed request: {exc}",
-                })
+                await self._reply(writer, request, self._error(
+                    request, f"malformed request: {exc}"
+                ))
                 continue
-            if request.get("op") == "stats":
+            if request.op == "stats":
                 stats.completed += 1
-                await self._send(writer, {
+                await self._reply(writer, request, {
                     "ok": True, "op": "stats", "result": self.stats(),
-                    **({"id": request["id"]} if "id" in request else {}),
                 })
                 continue
-            if request.get("op") == "metrics":
+            if request.op == "metrics":
                 # Cluster-wide metric aggregation: fan the op out to
                 # every available replica and merge with per-replica
                 # labels (the router's own registry rides along as
                 # replica="router").
                 stats.completed += 1
-                merged = await self._metrics()
-                await self._send(writer, {
-                    "ok": True, "op": "metrics", "result": merged,
-                    **({"id": request["id"]} if "id" in request else {}),
+                await self._reply(writer, request, {
+                    "ok": True, "op": "metrics",
+                    "result": await self._metrics(),
                 })
                 continue
             if self._inflight >= self.max_inflight:
                 stats.rejected += 1
-                await self._send(writer, self._error_response(
+                await self._reply(writer, request, self._error(
                     request, "overloaded"
                 ))
                 continue
@@ -541,253 +541,96 @@ class ClusterRouter:
                 self._latencies.observe(
                     (time.monotonic() - start) * 1000.0
                 )
-            await self._send(writer, response)
+            await self._reply(writer, request, response)
 
-    async def _handle_frame(
-        self, frame: "wire.Frame", writer: asyncio.StreamWriter
-    ) -> None:
-        """One binary client frame: admin ops answered inline, query
-        frames passed through to a replica raw (id re-stamp only)."""
-        stats = self.stats_counters
-        try:
-            header = frame.header()
-        except wire.WireError as exc:
-            stats.rejected += 1
-            await self._send_bytes(writer, self._frame_error(
-                frame, {}, f"malformed request: {exc}"
-            ))
-            return
-        op = header.get("op") or wire.OP_NAMES.get(frame.opcode)
-        if op == "stats":
-            stats.completed += 1
-            response = {"ok": True, "op": "stats", "result": self.stats()}
-            if frame.has_id:
-                response["id"] = frame.request_id
-            await self._send_bytes(writer, wire.encode_response(response))
-            return
-        if op == "metrics":
-            stats.completed += 1
-            response = {
-                "ok": True, "op": "metrics",
-                "result": await self._metrics(),
-            }
-            if frame.has_id:
-                response["id"] = frame.request_id
-            await self._send_bytes(writer, wire.encode_response(response))
-            return
-        if self._inflight >= self.max_inflight:
-            stats.rejected += 1
-            await self._send_bytes(writer, self._frame_error(
-                frame, header, "overloaded"
-            ))
-            return
-        self._inflight += 1
-        start = time.monotonic()
-        try:
-            payload = await self._route_frame(frame, header)
-        finally:
-            self._inflight -= 1
-            self._latencies.observe((time.monotonic() - start) * 1000.0)
-        await self._send_bytes(writer, payload)
+    async def _route(self, request: _Request):
+        """Place one request; exactly one response comes back — the
+        replica's response frame, or an error dict.
 
-    async def _route_frame(
-        self, frame: "wire.Frame", header: Dict[str, object]
-    ) -> bytes:
-        """Binary twin of :meth:`_route_inner`: same placement, same
-        exactly-once retry, but the frame is forwarded raw and the
-        response frame comes back raw (client id restored at a fixed
-        offset)."""
-        stats = self.stats_counters
-        registry = get_registry()
-        key = self.family_key(header)
-        first, diverted = self._pick(key)
-        if first is None:
-            stats.failed += 1
-            return self._frame_error(frame, header,
-                                     "no replicas available")
-        if diverted:
-            stats.failovers += 1
-            if registry.enabled:
-                registry.counter("cluster.router.failovers").inc(1)
-        try:
-            response = await self._call_frame(
-                first, frame, timeout=self.request_timeout
-            )
-        except (BackendDied, asyncio.TimeoutError):
-            stats.retries += 1
-            record_event("router.retry", replica=first.name,
-                         op=str(header.get("op")))
-            if registry.enabled:
-                registry.counter("cluster.router.retries").inc(1)
-            second, _ = self._pick(key, exclude=(first.name,))
-            if second is None:
-                stats.failed += 1
-                return self._frame_error(
-                    frame, header,
-                    f"replica {first.name} died; no survivor",
-                )
-            stats.failovers += 1
-            if registry.enabled:
-                registry.counter("cluster.router.failovers").inc(1)
-            try:
-                response = await self._call_frame(
-                    second, frame, timeout=self.request_timeout
-                )
-            except (BackendDied, asyncio.TimeoutError):
-                stats.failed += 1
-                return self._frame_error(
-                    frame, header,
-                    f"replicas {first.name} and {second.name} both "
-                    "failed",
-                )
-        stats.completed += 1
-        return self._restore_frame_id(frame, response)
-
-    @staticmethod
-    def _restore_frame_id(frame: "wire.Frame", response) -> bytes:
-        """Swap the internal call id back for the client's own on a
-        raw response frame (or re-encode a JSON response the replica
-        answered with, defensively)."""
-        if not isinstance(response, wire.Frame):
-            response = dict(response)
-            if frame.has_id:
-                response["id"] = frame.request_id
-            else:
-                response.pop("id", None)
-            return wire.encode_response(response)
-        if frame.has_id:
-            return response.with_id(frame.request_id)
-        # The client sent no id: strip the internal one (slow path —
-        # re-encode through the dict form).
-        decoded = wire.decode_response(response)
-        decoded.pop("id", None)
-        return wire.encode_response(decoded)
-
-    @staticmethod
-    def _frame_error(
-        frame: "wire.Frame", header: Dict[str, object], message: str
-    ) -> bytes:
-        response = {
-            "ok": False,
-            "op": header.get("op", wire.OP_NAMES.get(frame.opcode)),
-            "error": message,
-        }
-        if frame.has_id:
-            response["id"] = frame.request_id
-        return wire.encode_response(response)
-
-    @staticmethod
-    async def _send_bytes(
-        writer: asyncio.StreamWriter, payload: bytes
-    ) -> None:
-        try:
-            writer.write(payload)
-            await writer.drain()
-        except (ConnectionResetError, OSError):
-            pass  # client went away; accounting already counted it
-
-    async def _route(
-        self, request: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Place one request; exactly one response comes back.
+        Attempt one goes to the key's first available replica.  If the
+        call dies with its backend (severed connection, timeout), the
+        query — idempotent by construction — is retried on a
+        *different* surviving replica exactly once.
 
         A sampled request gets the router's hop span here —
         ``router.route``, parent of whatever replica span the forwarded
-        child context produces."""
-        ctx = extract(request)
-        if ctx is None:
-            return await self._route_inner(request)
-        with start_span("router.route", ctx, {
-            "op": str(request.get("op")),
-            "key": self.family_key(request),
-        }) as span:
-            response = await self._route_inner(
-                inject(request, span.context())
-            )
-            span.ok = bool(response.get("ok"))
-            return response
-
-    async def _route_inner(
-        self, request: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Attempt one goes to the key's first available replica.  If
-        the call dies with its backend (severed connection, timeout),
-        the query — idempotent by construction — is retried on a
-        *different* surviving replica exactly once.
+        child context produces.  Its header is re-encoded to carry that
+        context; every other frame is forwarded raw.
         """
         stats = self.stats_counters
         registry = get_registry()
-        key = self.family_key(request)
-        first, diverted = self._pick(key)
-        if first is None:
-            stats.failed += 1
-            return self._error_response(request, "no replicas available")
-        if diverted:
-            stats.failovers += 1
-            if registry.enabled:
-                registry.counter("cluster.router.failovers").inc(1)
-        try:
-            response = await self._call(
-                first, request, timeout=self.request_timeout
-            )
-        except (BackendDied, asyncio.TimeoutError):
-            stats.retries += 1
-            record_event("router.retry", replica=first.name,
-                         op=str(request.get("op")))
-            if registry.enabled:
-                registry.counter("cluster.router.retries").inc(1)
-            second, _ = self._pick(key, exclude=(first.name,))
-            if second is None:
-                stats.failed += 1
-                return self._error_response(
-                    request, f"replica {first.name} died; no survivor"
-                )
-            stats.failovers += 1
-            if registry.enabled:
-                registry.counter("cluster.router.failovers").inc(1)
+        key = self.family_key(request.header)
+        frame, span = request.frame, None
+        ctx = extract(request.header)
+        if ctx is not None:
+            span = start_span("router.route", ctx, {
+                "op": str(request.op), "key": key,
+            }).__enter__()
+            frame = _frame(inject(request.header, span.context()))
+        response = None
+        tried: List[str] = []
+        while response is None and len(tried) < 2:
+            backend, diverted = self._pick(key, exclude=tuple(tried))
+            if backend is None:
+                break
+            if diverted:
+                stats.failovers += 1
+                if registry.enabled:
+                    registry.counter("cluster.router.failovers").inc(1)
             try:
                 response = await self._call(
-                    second, request, timeout=self.request_timeout
+                    backend, frame, timeout=self.request_timeout
                 )
             except (BackendDied, asyncio.TimeoutError):
-                stats.failed += 1
-                return self._error_response(
-                    request,
-                    f"replicas {first.name} and {second.name} both "
-                    "failed",
-                )
-        stats.completed += 1
-        return self._restore_id(request, response)
-
-    @staticmethod
-    def _restore_id(
-        request: Dict[str, object], response: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Swap the internal call id back for the client's own."""
-        response = dict(response)
-        if "id" in request:
-            response["id"] = request["id"]
+                tried.append(backend.name)
+                if len(tried) == 1:
+                    stats.retries += 1
+                    record_event("router.retry", replica=backend.name,
+                                 op=str(request.op))
+                    if registry.enabled:
+                        registry.counter("cluster.router.retries").inc(1)
+        if response is not None:
+            stats.completed += 1
         else:
-            response.pop("id", None)
+            stats.failed += 1
+            if not tried:
+                reason = "no replicas available"
+            elif len(tried) == 1:
+                reason = f"replica {tried[0]} died; no survivor"
+            else:
+                reason = f"replicas {tried[0]} and {tried[1]} both failed"
+            response = self._error(request, reason)
+        if span is not None:
+            span.ok = isinstance(response, wire.Frame) \
+                and bool(response.flags & wire.FLAG_OK)
+            span.__exit__(None, None, None)
         return response
 
     @staticmethod
-    def _error_response(
-        request: Dict[str, object], message: str
-    ) -> Dict[str, object]:
-        response = {
-            "ok": False, "op": request.get("op"), "error": message,
-        }
-        if "id" in request:
-            response["id"] = request["id"]
-        return response
+    def _error(request: _Request, message: str) -> Dict[str, object]:
+        return {"ok": False, "op": request.op, "error": message}
 
     @staticmethod
-    async def _send(
-        writer: asyncio.StreamWriter, response: Dict[str, object]
+    async def _reply(
+        writer: asyncio.StreamWriter, request: _Request, response
     ) -> None:
+        """Answer one client in its own protocol under its own id.  A
+        replica's response frame goes back to a binary client as is,
+        id re-stamped at its fixed offset; everything else passes
+        through the response dict."""
+        if isinstance(response, wire.Frame) and request.binary \
+                and request.client_id is not _NO_ID:
+            payload = response.with_id(request.client_id)
+        else:
+            if isinstance(response, wire.Frame):
+                response = wire.decode_response(response)
+            response.pop("id", None)
+            if request.client_id is not _NO_ID:
+                response["id"] = request.client_id
+            payload = wire.encode_response(response) if request.binary \
+                else json.dumps(response).encode() + b"\n"
         try:
-            writer.write(json.dumps(response).encode() + b"\n")
+            writer.write(payload)
             await writer.drain()
         except (ConnectionResetError, OSError):
             pass  # client went away; accounting already counted it
@@ -812,11 +655,11 @@ class ClusterRouter:
             if not backend.available:
                 continue
             try:
-                response = await self._call(
-                    backend, {"op": "metrics"},
+                response = wire.decode_response(await self._call(
+                    backend, _frame({"op": "metrics"}),
                     timeout=self.probe_timeout,
-                )
-            except (BackendDied, asyncio.TimeoutError):
+                ))
+            except (BackendDied, asyncio.TimeoutError, wire.WireError):
                 continue
             if response.get("ok") and isinstance(
                 response.get("result"), dict

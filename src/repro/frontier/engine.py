@@ -295,12 +295,15 @@ class FrontierBFS:
             if result.layer_tags is not None:
                 result.layer_tags.append(np.full(1, -1, dtype=np.int16))
         if run is not None:
-            names = run.write_segment(
-                0, 0, root,
-                np.zeros(1, dtype=np.uint8) if self.track_first_hop
-                else None,
-            )
+            tags = np.zeros(1, dtype=np.uint8) if self.track_first_hop \
+                else None
+            names = run.write_segment(0, 0, root, tags)
             run.commit_layer(0, 1, names[:1], names[1:])
+            seeded = root.nbytes + (0 if tags is None else tags.nbytes)
+            result.spilled_bytes += seeded
+            get_registry().counter("frontier.spill_bytes").inc(
+                seeded, network=self.graph.name
+            )
         if self.on_layer is not None:
             self.on_layer(0, 1)
 

@@ -456,8 +456,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
         os._exit(0)
     except BaseException as exc:
         try:
-            ctrl.send(("error", index,
-                       f"{type(exc).__name__}: {exc}",
+            ctrl.send(("error", index, type(exc).__name__, str(exc),
                        traceback.format_exc()))
         except (OSError, BrokenPipeError):  # pragma: no cover
             pass
@@ -729,10 +728,14 @@ class ShardedFrontierBFS:
                     except (EOFError, OSError):
                         self._died(i, kind, depth)
                     if msg[0] == "error":
+                        if msg[2] == SpillError.__name__:
+                            # a damaged run dir fails resume with the
+                            # same type as a single-process run's
+                            raise SpillError(f"shard {i}: {msg[3]}")
                         raise ShardWorkerDied(
                             f"shard {i} failed while the coordinator "
                             f"awaited {kind!r} (layer {depth}): "
-                            f"{msg[2]}\n{msg[3]}"
+                            f"{msg[2]}: {msg[3]}\n{msg[4]}"
                         )
                     if msg[0] != kind:  # pragma: no cover
                         raise ShardWorkerDied(
@@ -807,7 +810,10 @@ class ShardedFrontierBFS:
         result.layer_sizes.append(1)
         result.num_states += 1
         if self.spill_dir is not None:
-            result.spill_segments += 1  # the identity's seed segment
+            # the identity's seed segment: one state, one word or row
+            result.spill_segments += 1
+            result.spilled_bytes += 8 if state_encoding(self.graph.k) \
+                == "words" else self.graph.k
         if self.on_layer is not None:
             self.on_layer(0, 1)
         return 0

@@ -385,11 +385,7 @@ class QueryServer:
                     continue
             else:
                 try:
-                    request = json.loads(message)
-                    if not isinstance(request, dict):
-                        raise ValueError(
-                            "request must be a JSON object"
-                        )
+                    request = wire.decode_json_request(message)
                 except ValueError as exc:
                     stats.malformed += 1
                     await self._send(writer, {

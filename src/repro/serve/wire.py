@@ -407,6 +407,15 @@ def decode_request(frame: Frame) -> Dict[str, object]:
     return request
 
 
+def decode_json_request(line: bytes) -> Dict[str, object]:
+    """One newline-JSON request line as its request dict.  Raises
+    ``ValueError`` when the line is not JSON or not a JSON object."""
+    request = json.loads(line)
+    if not isinstance(request, dict):
+        raise ValueError("request must be a JSON object")
+    return request
+
+
 def decode_response(frame: Frame) -> Dict[str, object]:
     """A response frame back into the exact dict the JSON protocol
     would have delivered (column distances re-listed)."""

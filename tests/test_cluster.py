@@ -395,16 +395,27 @@ class TestRouterWire:
         assert stats["failovers"] == 0
 
     def test_binary_matches_json_through_router(self):
-        """Same request, both protocols, one router: identical decoded
-        responses."""
+        """Same requests, both client protocols, one router: identical
+        decoded responses — answers and errors alike."""
         import asyncio
 
-        request = {
-            "id": 4, "op": "distance", "network": MS22,
-            "pairs": list(uniform_pairs(5, 8, seed=9)),
-        }
+        pairs = list(uniform_pairs(5, 8, seed=9))
+        requests = [
+            {"op": "distance", "network": MS22, "pairs": pairs},
+            {"op": "route", "network": MS22, "pairs": pairs[:3],
+             "algorithm": "table"},
+            {"op": "route", "network": MS22, "pairs": pairs[:3],
+             "algorithm": "algorithmic"},
+            {"op": "neighbors", "network": MS22,
+             "nodes": [pairs[0][0], pairs[1][1]]},
+            {"op": "properties", "network": MS22},
+            {"op": "distance", "network": {"family": "NOPE", "l": 2,
+                                           "n": 2}, "pairs": pairs},
+            {"op": "distance", "network": MS22,
+             "pairs": [["12345"], ["1234", "54321"]]},
+        ]
 
-        async def _ask(host, port, protocol):
+        async def _ask(host, port, protocol, request):
             reader, writer = await asyncio.open_connection(
                 host, port, limit=wire.WIRE_LIMIT
             )
@@ -421,13 +432,48 @@ class TestRouterWire:
                 else json.loads(message)
             )
 
+        answers = {"json": [], "binary": []}
         with _small_cluster(replicas=2) as cluster:
-            via_json = wire.run(_ask(cluster.host, cluster.port, "json"))
-            via_binary = wire.run(
-                _ask(cluster.host, cluster.port, "binary")
-            )
-        assert via_json["ok"], via_json
-        assert via_json == via_binary
+            for i, request in enumerate(requests):
+                for protocol, got in answers.items():
+                    got.append(wire.run(_ask(
+                        cluster.host, cluster.port, protocol,
+                        dict(request, id=i),
+                    )))
+            stats = cluster.router.stats()
+        assert [r["ok"] for r in answers["json"]] == [True] * 5 + [False] * 2
+        assert [r["id"] for r in answers["json"]] == list(range(len(requests)))
+        assert answers["json"] == answers["binary"]
+        assert stats["closed"], stats
+
+    def test_replica_link_is_binary_only(self):
+        """JSON clients, probes and a metrics fan-in: the replicas never
+        see a JSON request — the router frames everything it forwards."""
+        from repro.obs import MetricsRegistry, use_registry
+
+        requests = make_workload("uniform", MS22, k=5, count=40,
+                                 seed=5, batch=4)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with _small_cluster(replicas=2) as cluster:
+                result = run_loadgen(
+                    cluster.host, cluster.port, requests, concurrency=2,
+                )
+                with socket.create_connection(
+                    (cluster.host, cluster.port), timeout=15
+                ) as sock:
+                    fh = sock.makefile("rw")
+                    fh.write(json.dumps({"id": 1, "op": "metrics"}) + "\n")
+                    fh.flush()
+                    response = json.loads(fh.readline())
+            proto = registry.counter("serve.proto")
+            json_requests = proto.value(kind="json")
+            binary_requests = proto.value(kind="binary")
+        assert result.closed and result.ok == len(requests)
+        assert response["ok"], response.get("error")
+        assert json_requests == 0
+        # every loadgen request, at least one probe and the fan-in
+        assert binary_requests >= len(requests) + 2
 
     def test_over_64k_batch_through_router(self):
         """Regression for the 64 KiB ceiling on the router's two hops

@@ -11,6 +11,7 @@ check that a damaged, mistyped or foreign run dir fails resume with
 """
 
 import json
+import math
 import multiprocessing
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.frontier.encoding import (
     unpack_words,
 )
 from repro.frontier.spill import JOURNAL_FORMAT
+from repro.obs import MetricsRegistry, use_registry
 from repro.networks import make_network
 from repro.networks.registry import FAMILIES
 
@@ -190,8 +192,28 @@ class TestSpillResume:
         assert journal["encoding"] == "words" and journal["k"] == net.k
         segment = np.load(run_dir / journal["layers"][3]["segments"][0])
         assert segment.dtype == np.uint64 and segment.ndim == 1
-        # every layer after the identity's seed segment is counted
-        assert result.spilled_bytes == 8 * (result.num_states - 1)
+        # every layer is counted, the identity's seed segment included
+        assert result.spilled_bytes == 8 * result.num_states
+
+    def test_spilled_bytes_count_the_seed_segment(self, tmp_path):
+        """Result and ``frontier.spill_bytes`` counter agree with the
+        bytes on disk: 8 bytes per state, 7! states, identity included;
+        the sharded coordinator reports the same figure."""
+        net = make_network("MS", l=2, n=3)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = FrontierBFS(
+                net, memory_budget_bytes=16_384, spill_dir=tmp_path / "a",
+            ).run()
+        assert result.spilled_bytes == 8 * math.factorial(7)
+        assert registry.counter("frontier.spill_bytes").value(
+            network=net.name
+        ) == result.spilled_bytes
+        sharded = ShardedFrontierBFS(
+            net, workers=2, memory_budget_bytes=2 << 16,
+            spill_dir=tmp_path / "b",
+        ).run()
+        assert sharded.spilled_bytes == 8 * math.factorial(7)
 
     def test_truncated_segment_raises_spill_error(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -236,6 +258,31 @@ class TestSpillResume:
         monkeypatch.setattr(encoding, "MAX_BITPACK_K", 0)
         with pytest.raises(SpillError, match="'words' states"):
             resume(net, run_dir)
+
+    def test_sharded_truncated_segment_raises_spill_error(self, tmp_path):
+        """A damaged shard segment fails sharded resume with the same
+        :class:`SpillError` as single-process resume, not as a worker
+        death."""
+        net = make_network("MS", l=5, n=1)
+        run_dir = tmp_path / "run"
+
+        def stop(depth, _size):
+            if depth == 4:
+                raise KeyboardInterrupt()
+
+        with pytest.raises(KeyboardInterrupt):
+            ShardedFrontierBFS(
+                net, workers=2, memory_budget_bytes=2 << 16,
+                spill_dir=run_dir, on_layer=stop,
+            ).run()
+        segment = run_dir / "shard-0" / "layer_0004_0000.npy"
+        blob = segment.read_bytes()
+        segment.write_bytes(blob[:len(blob) // 2])
+        with pytest.raises(SpillError, match="unreadable segment"):
+            ShardedFrontierBFS(
+                net, workers=2, memory_budget_bytes=2 << 16,
+                spill_dir=run_dir, resume=True,
+            ).run()
 
     def test_sharded_resume_rejects_old_coordinator_format(self, tmp_path):
         net = make_network("MS", l=2, n=3)

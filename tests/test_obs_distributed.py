@@ -55,7 +55,10 @@ def _workload(count=24, batch=4, seed=0):
 
 
 class TestClusterTracePropagation:
-    def test_trace_crosses_three_process_boundaries(self):
+    @pytest.mark.parametrize("protocol", ["json", "binary"])
+    def test_trace_crosses_three_process_boundaries(self, protocol):
+        """The full five-hop chain holds for both client protocols: the
+        router's span sits between the client's and the replica's."""
         reset_span_buffer()
         with use_registry(MetricsRegistry()):
             with ClusterManager(
@@ -63,7 +66,7 @@ class TestClusterTracePropagation:
             ) as cluster:
                 result = run_loadgen(
                     cluster.host, cluster.port, _workload(),
-                    trace_sample=1.0,
+                    trace_sample=1.0, protocol=protocol,
                 )
             # cluster shutdown closes the shard pools, which pumps the
             # workers' last shipped span batches into this process
